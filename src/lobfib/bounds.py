@@ -3,7 +3,12 @@
 For a closed orientable hyperbolic 3-manifold M the volume satisfies
 vol(M) < c(M) * v3, where c(M) is the Matveev complexity and
 v3 = 2 Lambda(pi/6) = 1.0149... is the maximal tetrahedron volume; hence the
-least integer k with k * v3 > vol(M) is a certified lower bound for c(M).
+least integer k with k * v3 > vol(M) is a lower bound for c(M).  The
+library computes k from the upper end of vol / v3, taken from the volume's
+error bound and the lower end of v3's own interval with every floating-point
+step rounded up.  Where that interval of vol / v3 contains no
+integer, which holds for every n <= 3000 except M(4), k is certified; M(4)
+has vol = 2 v3 exactly, so k = 3 there rests on that identity.
 Any concrete triangulation with t tetrahedra gives the upper bound
 c(M) <= t.  For the two families this produces
 
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from .coloring import canonical_coloring
 from .polytope import FIBONACCI, LOBELL, build_lobell_polytope
 from .triangulation import triangulate_fibonacci, triangulate_lobell
-from .volume import VolumeResult, fibonacci_volume, lobell_volume, v3
+from .volume import V3_LOWER, VolumeResult, fibonacci_volume, lobell_volume, v3
 
 
 def lobell_tet_count(n: int) -> int:
@@ -40,12 +45,14 @@ def fibonacci_tet_count(n: int) -> int:
 
 
 def lower_bound_from_volume(volume: VolumeResult) -> int:
-    """Least integer k with k * v3 strictly above the volume.
+    """Least integer k with k * v3 strictly above every volume in the
+    interval value +- error bound.
 
-    The quadrature error bound is added to the value first, so the result
-    is a certified bound for every true volume inside the interval.
+    The error bound is added to the value and the sum is divided by the
+    lower end of v3's own interval, each step rounded up.
     """
-    return math.floor((volume.value + volume.error_bound) / v3()) + 1
+    top = math.nextafter(volume.value + volume.error_bound, math.inf)
+    return math.floor(math.nextafter(top / V3_LOWER, math.inf)) + 1
 
 
 @dataclass

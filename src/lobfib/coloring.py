@@ -67,7 +67,6 @@ COLORS = (ALPHA, BETA, GAMMA, DELTA)
 _COLOR_OF = {"alpha": ALPHA, "beta": BETA, "gamma": GAMMA, "delta": DELTA}
 _NAME_OF = {v: k for k, v in _COLOR_OF.items()}
 
-ZERO = Z2Vector3((0, 0, 0))
 GROUP8 = tuple(
     Z2Vector3((b0, b1, b2)) for b0 in (0, 1) for b1 in (0, 1) for b2 in (0, 1)
 )

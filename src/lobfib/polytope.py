@@ -91,9 +91,6 @@ class CombinatorialPolytope:
     def vertex_degree(self, v: str) -> int:
         return sum(1 for e in self.edge_faces() if v in e)
 
-    def faces_at_vertex(self, v: str) -> list[int]:
-        return [fi for fi, f in enumerate(self.faces) if v in f]
-
     def adjacent_face_pairs(self) -> set[frozenset[int]]:
         """Unordered pairs of face indices sharing an edge."""
         pairs: set[frozenset[int]] = set()
@@ -101,12 +98,6 @@ class CombinatorialPolytope:
             if len(incident) == 2 and incident[0] != incident[1]:
                 pairs.add(frozenset(incident))
         return pairs
-
-    def label_of_face(self, face_index: int) -> str:
-        for lab, fi in self.face_labels.items():
-            if fi == face_index:
-                return lab
-        raise KeyError(face_index)
 
     # -- serialization ------------------------------------------------------
 

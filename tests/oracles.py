@@ -6,7 +6,9 @@ library so that agreement is evidence, not tautology:
 * lobachevsky_oracle integrates -log|2 sin t| directly, pulling the
   endpoint singularity to -infinity with the substitution t = e^u (the
   library instead subtracts the singularity in closed form);
-* lobachevsky_clausen goes through mpmath's Clausen function Cl_2;
+* lobachevsky_clausen goes through mpmath's Clausen function Cl_2, and
+  lobell_volume_clausen / fibonacci_volume_clausen evaluate the volume
+  formulas, angles included, at 30 digits on the same route;
 * coloring_count_oracle brute-forces colorings in reverse face order with
   its own adjacency and rank computations.
 """
@@ -44,10 +46,41 @@ def lobachevsky_oracle(x: float) -> float:
     return -sign * val
 
 
+def lobachevsky_clausen_mp(x) -> mpmath.mpf:
+    """Lobachevskii function as half the Clausen function of order 2, at
+    the working precision (x is taken exactly)."""
+    return mpmath.clsin(2, 2 * mpmath.mpf(x)) / 2
+
+
 def lobachevsky_clausen(x: float) -> float:
-    """Lobachevskii function as half the Clausen function of order 2."""
+    """lobachevsky_clausen_mp at 30 digits, rounded to a float."""
     with mpmath.workdps(30):
-        return float(mpmath.clsin(2, 2 * x) / 2)
+        return float(lobachevsky_clausen_mp(x))
+
+
+def v3_clausen() -> mpmath.mpf:
+    """v3 = 2 Lambda(pi/6) at 30 digits."""
+    with mpmath.workdps(30):
+        return 2 * lobachevsky_clausen_mp(mpmath.pi / 6)
+
+
+def lobell_volume_clausen(n: int) -> mpmath.mpf:
+    """The Lobell volume formula with every angle and Lambda at 30 digits."""
+    with mpmath.workdps(30):
+        step = mpmath.pi / n
+        th = mpmath.pi / 2 - mpmath.acos(1 / (2 * mpmath.cos(step)))
+        lam = lobachevsky_clausen_mp
+        return 4 * n * (
+            2 * lam(th) + lam(th + step) + lam(th - step) - lam(2 * th - mpmath.pi / 2)
+        )
+
+
+def fibonacci_volume_clausen(n: int) -> mpmath.mpf:
+    """The Fibonacci volume formula with every angle and Lambda at 30 digits."""
+    with mpmath.workdps(30):
+        b = mpmath.pi / n
+        a = mpmath.acos(mpmath.cos(2 * b) - mpmath.mpf(1) / 2) / 2
+        return 2 * n * (lobachevsky_clausen_mp(a + b) + lobachevsky_clausen_mp(a - b))
 
 
 # ---------------------------------------------------------------------------

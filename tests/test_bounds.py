@@ -3,6 +3,7 @@ triangulation upper bounds, asymptotic attainment, and the ratio trends."""
 
 import math
 
+import mpmath
 import pytest
 
 from lobfib.bounds import (
@@ -12,7 +13,9 @@ from lobfib.bounds import (
     lobell_tet_count,
     lower_bound_from_volume,
 )
-from lobfib.volume import VolumeResult, v3
+from lobfib.volume import VolumeResult, fibonacci_volume, lobell_volume, v3
+
+from oracles import fibonacci_volume_clausen, lobell_volume_clausen, v3_clausen
 
 
 class TestLowerBoundFromVolume:
@@ -32,6 +35,36 @@ class TestLowerBoundFromVolume:
         assert lower_bound_from_volume(VolumeResult(value, 1e-11, {})) == 4, (
             "a value certified only up to 1e-11 cannot exclude k = 3"
         )
+
+
+class TestLowerBoundsAgainstClausen:
+    """For every n <= 200 the certified lower bound is exactly the least k
+    with k * v3 > vol, with vol and v3 both taken from mpmath's Clausen
+    function at 30 digits: the error bounds are tight enough to decide."""
+
+    @pytest.mark.parametrize(
+        "family, first, library, oracle",
+        (
+            ("lobell", 5, lobell_volume, lobell_volume_clausen),
+            ("fibonacci", 4, fibonacci_volume, fibonacci_volume_clausen),
+        ),
+    )
+    def test_least_k(self, family, first, library, oracle):
+        exact_v3 = v3_clausen()
+        for n in range(first, 201):
+            with mpmath.workdps(30):
+                ratio = oracle(n) / exact_v3
+                nearest = int(mpmath.nint(ratio))
+                if abs(ratio - nearest) < 1e-20:
+                    # only vol(M(4)) = 2 v3 is an exact multiple; the strict
+                    # inequality then needs the next integer
+                    assert (family, n) == ("fibonacci", 4), f"{family} n={n}: ratio {ratio}"
+                    expected = nearest + 1
+                else:
+                    expected = int(mpmath.floor(ratio)) + 1
+            assert lower_bound_from_volume(library(n)) == expected, (
+                f"{family} n={n}: vol / v3 = {mpmath.nstr(ratio, 20)}"
+            )
 
 
 class TestFrozenLowerBounds:

@@ -2,10 +2,22 @@
 the triangulate-then-verify pipeline, determinism, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import lobfib
+
+# children import the same lobfib as this process, with or without PYTHONPATH
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(lobfib.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run(*argv):
@@ -13,7 +25,18 @@ def run(*argv):
         [sys.executable, "-m", "lobfib.cli", *argv],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
+
+
+def test_import_loads_no_scipy_or_numpy():
+    """The runtime needs the standard library only."""
+    probe = "import sys, lobfib; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n", f"import lobfib loaded {result.stdout.strip()}"
 
 
 class TestPipeline:
