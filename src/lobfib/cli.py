@@ -113,7 +113,10 @@ def _load_coloring(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         return canonical_coloring(build_lobell_polytope(args.n))
     if args.color.startswith("file:"):
         path = args.color[len("file:"):]
-        return FaceColoring.from_json(Path(path).read_text(encoding="utf-8"))
+        coloring = FaceColoring.from_json(Path(path).read_text(encoding="utf-8"))
+        if coloring.n != args.n:
+            raise ValueError(f"coloring is for R({coloring.n}), but --n is {args.n}")
+        return coloring
     parser.error(f"--color must be 'auto' or 'file:PATH', got {args.color!r}")
     raise AssertionError("unreachable")
 

@@ -114,14 +114,21 @@ class FaceColoring:
 
     @staticmethod
     def from_json(text: str) -> "FaceColoring":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("coloring document is nested too deeply") from None
         if not isinstance(doc, dict) or "n" not in doc or "colors" not in doc:
             raise ValueError("coloring document needs fields 'n' and 'colors'")
         n = doc["n"]
         if not isinstance(n, int):
             raise ValueError("coloring field 'n' must be an integer")
+        if not isinstance(doc["colors"], dict):
+            raise ValueError("coloring field 'colors' must map face labels to color names")
         colors = {}
         for key, name in doc["colors"].items():
+            if not isinstance(name, str):
+                raise ValueError(f"color of face {key} must be a color name, got {name!r}")
             colors[int(key)] = Z2Vector3.from_name(name)
         return FaceColoring(n, colors)
 

@@ -7,7 +7,15 @@ closed 3-manifold exactly when every face is matched, the Euler
 characteristic of the quotient cell structure vanishes, and the link of
 every quotient vertex is a 2-sphere; it is orientable when the copies can be
 oriented so that every match reverses the induced boundary orientation.
-verify_closed_manifold checks all of that and reports per-item results.
+verify_closed_manifold checks all of that and reports per-item results,
+naming every edge glued to itself in reverse.  It shares its core,
+quotient_cells, with verify_triangulation: flat-list union-finds over
+integer ids, each copy numbering its vertices and darts (directed edges)
+from offsets into tables built once per polytope object.  A dart is also
+the corner of its tail's link disk, so one union-find gives the link
+vertices and the quotient edges, an edge being the pair {class of d, class
+of d reversed}.  A link's disks are one vertex class, so it is connected by
+construction.
 
 Two assemblies are provided.
 
@@ -34,6 +42,7 @@ smaller-indexed incident face.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -318,24 +327,80 @@ def edge_cycles(gc: GluedComplex) -> list[EdgeCycle]:
 # manifold verification
 # ---------------------------------------------------------------------------
 
-class UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
+def _root(parent: list[int], x: int) -> int:
+    """Root of x in a flat-list union-find, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = p = self.parent[p]
-            x, p = p, self.parent[p]
-        return x
 
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+def quotient_cells(
+    sides_at: list[int],
+    dart_tail: list[int],
+    dart_rev: list[int],
+    identifications: list[tuple],
+    loose_sides: list[int],
+    open_vertices: list[int],
+) -> tuple[int, int, list[tuple[int, int, int, bool]], list[int]]:
+    """Quotient vertices, edges and vertex links, the core of both verifiers.
 
-    def class_count(self, keys) -> int:
-        return len({self.find(k) for k in keys})
+    Vertex v's link disk has sides_at[v] sides; dart d leaves vertex
+    dart_tail[d] (-1 for an id that is no dart) and reverses to dart_rev[d].
+    Each identification (vertex offset, vertex offset, dart offset, dart
+    offset, vertex pairs, dart pairs) unions its pairs of local ids in order,
+    the root of the second id going under the root of the first.
+    loose_sides holds the vertex of each link side glued to nothing or to
+    itself, open_vertices each vertex with a side glued to nothing.
+
+    Returns (vertices, edges, links, invalid darts): per vertex class, in
+    the order of the class roots, (least vertex id, disks, Euler
+    characteristic, closed); and the least dart of each edge glued to itself
+    in reverse.
+    """
+    vparent = list(range(len(sides_at)))
+    dparent = list(range(len(dart_tail)))
+    for va, vb, da, db, vertex_pairs, dart_pairs in identifications:
+        for x, y in vertex_pairs:
+            x, y = _root(vparent, va + x), _root(vparent, vb + y)
+            if x != y:
+                vparent[y] = x
+        for x, y in dart_pairs:
+            x, y = _root(dparent, da + x), _root(dparent, db + y)
+            if x != y:
+                dparent[y] = x
+
+    vroot = [_root(vparent, v) for v in range(len(vparent))]
+    droot = [_root(dparent, d) for d in range(len(dparent))]
+    count = len(vroot)
+    disks, least, sides, corners = [0] * count, [0] * count, [0] * count, [0] * count
+    for v, r in enumerate(vroot):
+        if not disks[r]:
+            least[r] = v
+        disks[r] += 1
+        sides[r] += sides_at[v]
+    for v in loose_sides:  # a loose side is a link edge on its own
+        sides[vroot[v]] += 1
+
+    dart_classes = 0
+    invalid: dict[int, int] = {}  # root -> least dart, for each collapsed class
+    for d, tail in enumerate(dart_tail):
+        if tail < 0:
+            continue
+        r = droot[d]
+        if r == d:
+            dart_classes += 1
+            corners[vroot[tail]] += 1
+        if droot[dart_rev[d]] == r:
+            invalid.setdefault(r, d)
+    edges = (dart_classes + len(invalid)) // 2
+
+    opened = {vroot[v] for v in open_vertices}
+    links = [
+        (least[r], disks[r], disks[r] - sides[r] // 2 + corners[r], r not in opened)
+        for r in range(count)
+        if vroot[r] == r
+    ]
+    return len(links), edges, links, list(invalid.values())
 
 
 @dataclass
@@ -471,15 +536,32 @@ def match_is_orientation_reversing(gc: GluedComplex, m: FaceMatch, orientations=
     return _is_rotation(image, list(reversed(tgt)))
 
 
-def _copy_orientations(gc: GluedComplex) -> list[list[int]]:
-    cache: dict[int, list[int]] = {}
-    out = []
+def _per_polytope(gc: GluedComplex, build) -> list:
+    """build(p) for every copy, called once per polytope object."""
+    cache: dict[int, object] = {}
     for p in gc.polytopes:
-        key = id(p)
-        if key not in cache:
-            cache[key] = boundary_orientation(p)
-        out.append(cache[key])
-    return out
+        if id(p) not in cache:
+            cache[id(p)] = build(p)
+    return [cache[id(p)] for p in gc.polytopes]
+
+
+def _copy_orientations(gc: GluedComplex) -> list[list[int]]:
+    return _per_polytope(gc, boundary_orientation)
+
+
+def _polytope_ids(p: CombinatorialPolytope):
+    """(vertex ids, dart ids, link sides per vertex) of one polytope; darts
+    are numbered in the order they first appear on the face cycles."""
+    vertex = {v: k for k, v in enumerate(p.vertices)}
+    dart: dict[tuple[str, str], int] = {}
+    sides_at = [0] * len(p.vertices)
+    for face in p.faces:
+        for k, v in enumerate(face):
+            w = face[k + 1 - len(face)]
+            dart.setdefault((v, w), len(dart))
+            dart.setdefault((w, v), len(dart))
+            sides_at[vertex[v]] += 1
+    return vertex, dart, sides_at
 
 
 def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
@@ -499,113 +581,54 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
 
     match_problems = [_match_structure_problem(gc, m) for m in gc.pairing.matches]
     problems.extend(p for p in match_problems if p)
-
-    # quotient cells by union-find over the identifications
-    vertex_uf = UnionFind()
-    edge_uf = UnionFind()
-    all_vertices = [
-        (ci, v) for ci, p in enumerate(gc.polytopes) for v in p.vertices
-    ]
-    all_edges = [
-        (ci, e) for ci, p in enumerate(gc.polytopes) for e in p.edge_faces()
-    ]
-    for ci, v in all_vertices:
-        vertex_uf.find((ci, v))
-    for ci, e in all_edges:
-        edge_uf.find((ci, e))
-
     usable_matches = [
         m for m, problem in zip(gc.pairing.matches, match_problems) if problem is None
     ]
+
+    # copy ci numbers its vertices from voff[ci] and its darts from doff[ci]
+    ids = _per_polytope(gc, _polytope_ids)
+    voff, doff = [0], [0]
+    for vertex, dart, _ in ids:
+        voff.append(voff[-1] + len(vertex))
+        doff.append(doff[-1] + len(dart))
+    identifications = []
     for m in usable_matches:
         (ci, fi), (cj, fj) = m.source, m.target
-        for v, w in m.vertex_map.items():
-            vertex_uf.union((ci, v), (cj, w))
-        for e in gc.polytopes[ci].face_cycle_edges(fi):
-            image = frozenset(m.vertex_map[v] for v in e)
-            edge_uf.union((ci, e), (cj, image))
-
-    quotient_vertices = vertex_uf.class_count(all_vertices)
-    quotient_edges = edge_uf.class_count(all_edges)
+        (vertex, dart, _), (vertex2, dart2, _), vmap = ids[ci], ids[cj], m.vertex_map
+        face = gc.polytopes[ci].faces[fi]
+        dart_pairs = []
+        for k, v in enumerate(face):
+            w = face[k + 1 - len(face)]
+            dart_pairs.append((dart[v, w], dart2[vmap[v], vmap[w]]))
+            dart_pairs.append((dart[w, v], dart2[vmap[w], vmap[v]]))
+        vertex_pairs = [(vertex[v], vertex2[w]) for v, w in vmap.items()]
+        identifications.append(
+            (voff[ci], voff[cj], doff[ci], doff[cj], vertex_pairs, dart_pairs)
+        )
+    glued = {slot for m in usable_matches for slot in (m.source, m.target)}
+    loose = [
+        voff[ci] + ids[ci][0][v]
+        for ci, fi in slots
+        if (ci, fi) not in glued
+        for v in gc.polytopes[ci].faces[fi]
+    ]
+    quotient_vertices, quotient_edges, cells, invalid = quotient_cells(
+        [x for _, _, sides_at in ids for x in sides_at],
+        [voff[ci] + vertex[u] for ci, (vertex, dart, _) in enumerate(ids) for u, _ in dart],
+        [doff[ci] + dart[w, u] for ci, (_, dart, _) in enumerate(ids) for u, w in dart],
+        identifications,
+        loose,
+        loose,
+    )
     matched_slots = sum(1 for s in slots if gc.pairing.has(s))
     quotient_faces = matched_slots // 2 + len(unmatched)
-    cells = gc.copies
-    euler = quotient_vertices - quotient_edges + quotient_faces - cells
+    euler = quotient_vertices - quotient_edges + quotient_faces - gc.copies
 
-    # vertex links: one polygonal disk per (copy, vertex); sides indexed by
-    # the face corners at the vertex, corners by the edges at the vertex
-    at_vertex_cache: dict[int, dict[str, list[int]]] = {}
-    for ci, p in enumerate(gc.polytopes):
-        if id(p) not in at_vertex_cache:
-            table: dict[str, list[int]] = {v: [] for v in p.vertices}
-            for fi, f in enumerate(p.faces):
-                for v in f:
-                    table[v].append(fi)
-            at_vertex_cache[id(p)] = table
-
-    side_uf = UnionFind()
-    corner_uf = UnionFind()
-    disk_uf = UnionFind()
-    disk_sides: dict[tuple[int, str], list[tuple]] = {}
-    side_matched: dict[tuple, bool] = {}
-
-    def face_neighbors(p: CombinatorialPolytope, fi: int, v: str) -> tuple[str, str]:
-        cyc = p.faces[fi]
-        k = cyc.index(v)
-        return cyc[(k - 1) % len(cyc)], cyc[(k + 1) % len(cyc)]
-
-    for ci, p in enumerate(gc.polytopes):
-        table = at_vertex_cache[id(p)]
-        for v in p.vertices:
-            disk = (ci, v)
-            disk_uf.find(disk)
-            sides = []
-            for fi in table[v]:
-                side = (ci, v, fi)
-                sides.append(side)
-                side_uf.find(side)
-                prev_v, next_v = face_neighbors(p, fi, v)
-                corner_uf.find((ci, v, frozenset((v, prev_v))))
-                corner_uf.find((ci, v, frozenset((v, next_v))))
-                side_matched.setdefault(side, False)
-            disk_sides[disk] = sides
-
-    for m in usable_matches:
-        (ci, fi), (cj, fj) = m.source, m.target
-        p = gc.polytopes[ci]
-        for v in p.faces[fi]:
-            w = m.vertex_map[v]
-            side_a, side_b = (ci, v, fi), (cj, w, fj)
-            side_uf.union(side_a, side_b)
-            side_matched[side_a] = True
-            side_matched[side_b] = True
-            disk_uf.union((ci, v), (cj, w))
-            prev_v, next_v = face_neighbors(p, fi, v)
-            for nb in (prev_v, next_v):
-                corner_uf.union(
-                    (ci, v, frozenset((v, nb))),
-                    (cj, w, frozenset((w, m.vertex_map[nb]))),
-                )
-
-    links: list[VertexLinkReport] = []
-    classes: dict = {}
-    for ci, v in all_vertices:
-        classes.setdefault(vertex_uf.find((ci, v)), []).append((ci, v))
-    for root in sorted(classes, key=lambda r: (r[0], gc.polytopes[r[0]].vertex_index(r[1]))):
-        members = classes[root]
-        disks = len(members)
-        sides = [s for d in members for s in disk_sides[d]]
-        corners = set()
-        for ci, v, fi in sides:
-            prev_v, next_v = face_neighbors(gc.polytopes[ci], fi, v)
-            corners.add(corner_uf.find((ci, v, frozenset((v, prev_v)))))
-            corners.add(corner_uf.find((ci, v, frozenset((v, next_v)))))
-        link_edges = len({side_uf.find(s) for s in sides})
-        link_closed = all(side_matched[s] for s in sides)
-        connected = disk_uf.class_count(members) == 1
-        euler_link = disks - link_edges + len(corners)
-        rep = min(members, key=lambda d: (d[0], gc.polytopes[d[0]].vertex_index(d[1])))
-        links.append(VertexLinkReport(rep, disks, euler_link, connected, link_closed))
+    links = []
+    for v, disks, euler_link, link_closed in cells:
+        ci = bisect_right(voff, v) - 1
+        rep = (ci, gc.polytopes[ci].vertices[v - voff[ci]])
+        links.append(VertexLinkReport(rep, disks, euler_link, True, link_closed))
 
     # orientability with the given copy signs
     orientable = True
@@ -624,8 +647,13 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
             orientable = False
             problems.append(f"orientation-incompatible matches: {bad}")
 
+    for d in invalid:
+        ci = bisect_right(doff, d) - 1
+        u, w = list(ids[ci][1])[d - doff[ci]]
+        problems.append(f"edge {u}-{w} of copy {ci} is glued to itself in reverse")
+
     return ManifoldReport(
-        cells=cells,
+        cells=gc.copies,
         quotient_vertices=quotient_vertices,
         quotient_edges=quotient_edges,
         quotient_faces=quotient_faces,

@@ -24,29 +24,30 @@ vertex and each triangle is coned from a fresh apex at the copy's centre
 copy g are glued by the identity to the same triangles in copy g + color(F).
 
 verify_triangulation checks the gluing axioms, the quotient cell counts and
-Euler characteristic, that every vertex link is a sphere, and orientability
-(tetrahedra admit signs such that same-sign gluings are odd permutations),
-returning the same ManifoldReport as the polytope-level verifier.
+Euler characteristic, that every vertex link is a sphere (connected by
+construction), and orientability (tetrahedra admit signs such that same-sign
+gluings are odd permutations), naming faces glued to themselves and edges
+glued to themselves in reverse.  It hands each usable gluing once to the core
+it shares with verify_closed_manifold, in the ids 4t + i for vertex i of
+tetrahedron t and 16t + 4i + j for its dart from i to j, which is also the
+corner of vertex i's link towards j.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Optional
 
 from .coloring import GROUP8, FaceColoring, group_index, validate_coloring
 from .gluing import (
     ManifoldReport,
-    UnionFind,
     VertexLinkReport,
     fibonacci_pairing,
+    quotient_cells,
 )
-from .polytope import (
-    CombinatorialPolytope,
-    build_fibonacci_polytope,
-    build_lobell_polytope,
-)
+from .polytope import build_fibonacci_polytope, build_lobell_polytope
 
 Gluing = tuple[int, int, tuple[int, int, int, int]]
 
@@ -103,6 +104,8 @@ def import_triangulation(text: str) -> Triangulation:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TriangulationFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise TriangulationFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise TriangulationFormatError("top level must be an object")
     for key in ("tetCount", "gluings"):
@@ -287,48 +290,66 @@ def triangulate_lobell(c: FaceColoring) -> Triangulation:
 # verification
 # ---------------------------------------------------------------------------
 
-def _perm_is_odd(perm: tuple[int, int, int, int]) -> bool:
-    swaps = sum(
-        1
-        for i in range(4)
-        for j in range(i + 1, 4)
-        if perm[i] > perm[j]
+_INVERSE = {
+    perm: tuple(perm.index(i) for i in range(4)) for perm in permutations(range(4))
+}
+# sign(t) - sign(t2) mod 2 that a gluing by perm asks for: 0 iff perm is odd
+_WEIGHT = {
+    perm: 1 - sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4)) % 2
+    for perm in _INVERSE
+}
+_ON_FACE = tuple(tuple(i for i in range(4) if i != f) for f in range(4))
+# what gluing face f by perm identifies, in tetrahedron-local ids: the
+# vertex pairs (i, perm[i]) and the dart pairs (4i + j, 4perm[i] + perm[j])
+_IDENTIFIED = {
+    (f, p): (
+        tuple((i, p[i]) for i in _ON_FACE[f]),
+        tuple((4 * i + j, 4 * p[i] + p[j]) for i in _ON_FACE[f] for j in _ON_FACE[f] if i != j),
     )
-    return swaps % 2 == 1
+    for f in range(4)
+    for p in _INVERSE
+}
+_TET_DART_TAIL = tuple(i if i != j else -1 for i in range(4) for j in range(4))
+_TET_DART_REV = tuple(4 * j + i for i in range(4) for j in range(4))
 
 
-class _ParityUnionFind:
-    """Union-find with a Z/2 weight; union(x, y, d) asserts
-    weight(x) - weight(y) = d and reports whether that is consistent."""
+def _gluing_problem(tri: Triangulation, t: int, f: int) -> Optional[str]:
+    """Why the gluing at face f of tetrahedron t cannot be used, or None: it
+    must reference a tetrahedron, carry a permutation sending face f to the
+    face it names, and be mirrored there by the inverse permutation."""
+    t2, f2, perm = tri.gluings[t][f]
+    if not (0 <= t2 < tri.tet_count):
+        return f"gluing of tet {t} face {f} references tetrahedron {t2}"
+    if perm not in _INVERSE:
+        return f"gluing of tet {t} face {f}: {perm} is not a permutation of 0..3"
+    if perm[f] != f2:
+        return (
+            f"gluing of tet {t} face {f}: perm {perm} sends face {f} "
+            f"to {perm[f]}, not to face {f2}"
+        )
+    if tri.gluings[t2][f2] != (t, f, _INVERSE[perm]):
+        return f"gluing of tet {t} face {f} is not mirrored by tet {t2} face {f2}"
+    return None
 
-    def __init__(self) -> None:
-        self.parent: dict = {}
-        self.offset: dict = {}
 
-    def find(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.offset[x] = 0
-            return x, 0
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        parity = 0
-        for y in reversed(path):
-            parity ^= self.offset[y]
-            self.parent[y] = x
-            self.offset[y] = parity
-        return x, self.offset[path[0]] if path else 0
-
-    def union(self, x, y, d: int) -> bool:
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            return (px ^ py) == d
-        self.parent[ry] = rx
-        self.offset[ry] = px ^ py ^ d
-        return True
+def _orientable(count: int, glued: list[tuple[int, int, int, tuple]]) -> bool:
+    """Whether the tetrahedra admit signs such that same-sign gluings are odd
+    permutations: a flat union-find with a Z/2 weight, parity[x] being the
+    sign of x minus the sign of parent[x]."""
+    parent, parity, size = list(range(count)), [0] * count, [1] * count
+    for t, _, t2, perm in glued:
+        x, y, d = t, t2, _WEIGHT[perm]
+        while parent[x] != x:
+            x, d = parent[x], d ^ parity[x]
+        while parent[y] != y:
+            y, d = parent[y], d ^ parity[y]
+        if x != y:
+            if size[x] < size[y]:
+                x, y = y, x
+            parent[y], parity[y], size[x] = x, d, size[x] + size[y]
+        elif d:
+            return False
+    return True
 
 
 def verify_triangulation(tri: Triangulation) -> ManifoldReport:
@@ -343,111 +364,51 @@ def verify_triangulation(tri: Triangulation) -> ManifoldReport:
         shown = ", ".join(map(str, unglued[:8])) + ("..." if len(unglued) > 8 else "")
         problems.append(f"unglued faces: {shown}")
 
-    usable: dict[tuple[int, int], Gluing] = {}
-    for t in range(count):
-        for f in range(4):
-            entry = tri.gluings[t][f]
-            if entry is None:
+    # usable gluings (t, f, t2, perm), each taken once, from (t, f) <= (t2, f2);
+    # the vertex ids of link sides glued to nothing, and of those a face
+    # glued to itself fixes
+    glued: list[tuple[int, int, int, tuple]] = []
+    opened: list[int] = []
+    fixed: list[int] = []
+    for t, row in enumerate(tri.gluings):
+        for f, entry in enumerate(row):
+            problem = None if entry is None else _gluing_problem(tri, t, f)
+            if problem:
+                problems.append(problem)
+            if entry is None or problem:
+                opened.extend(4 * t + i for i in _ON_FACE[f])
                 continue
             t2, f2, perm = entry
-            if not (0 <= t2 < count):
-                problems.append(f"gluing of tet {t} face {f} references tetrahedron {t2}")
-                continue
-            if sorted(perm) != [0, 1, 2, 3]:
-                problems.append(
-                    f"gluing of tet {t} face {f}: {perm} is not a permutation of 0..3"
-                )
-                continue
-            if perm[f] != f2:
-                problems.append(
-                    f"gluing of tet {t} face {f}: perm {perm} sends face {f} "
-                    f"to {perm[f]}, not to face {f2}"
-                )
-                continue
-            back = tri.gluings[t2][f2]
-            if (
-                back is None
-                or back[0] != t
-                or back[1] != f
-                or any(back[2][perm[i]] != i for i in range(4))
-            ):
-                problems.append(
-                    f"gluing of tet {t} face {f} is not mirrored by tet {t2} face {f2}"
-                )
-                continue
-            usable[(t, f)] = entry
+            if (t2, f2) == (t, f):
+                problems.append(f"face {f} of tet {t} is glued to itself")
+                fixed.extend(4 * t + i for i in _ON_FACE[f] if perm[i] == i)
+            if (t, f) <= (t2, f2):
+                glued.append((t, f, t2, perm))
 
-    vertex_uf = UnionFind()
-    edge_uf = UnionFind()
-    side_uf = UnionFind()
-    corner_uf = UnionFind()
-    parity = _ParityUnionFind()
-
-    all_vertices = [(t, i) for t in range(count) for i in range(4)]
-    all_edges = [
-        (t, frozenset((i, j))) for t in range(count) for i in range(4) for j in range(i + 1, 4)
-    ]
-    for tv in all_vertices:
-        vertex_uf.find(tv)
-    for te in all_edges:
-        edge_uf.find(te)
-    for t in range(count):
-        for i in range(4):
-            for f in range(4):
-                if f != i:
-                    side_uf.find((t, i, f))
-            for j in range(4):
-                if j != i:
-                    corner_uf.find((t, i, j))
-
-    orientable = True
-    for (t, f), (t2, f2, perm) in usable.items():
-        on_face = [i for i in range(4) if i != f]
-        for i in on_face:
-            vertex_uf.union((t, i), (t2, perm[i]))
-            side_uf.union((t, i, f), (t2, perm[i], f2))
-        for a in range(3):
-            for b in range(a + 1, 3):
-                i, j = on_face[a], on_face[b]
-                edge_uf.union((t, frozenset((i, j))), (t2, frozenset((perm[i], perm[j]))))
-        for i in on_face:
-            for j in on_face:
-                if i != j:
-                    corner_uf.union((t, i, j), (t2, perm[i], perm[j]))
-        if not parity.union(t, t2, 0 if _perm_is_odd(perm) else 1):
-            orientable = False
+    orientable = _orientable(count, glued)
     if not orientable:
         problems.append(
             "no assignment of tetrahedron orientations makes every gluing compatible"
         )
 
-    quotient_vertices = vertex_uf.class_count(all_vertices)
-    quotient_edges = edge_uf.class_count(all_edges)
-    face_orbits = {frozenset(((t, f), entry[:2])) for (t, f), entry in usable.items()}
-    quotient_faces = len(face_orbits) + len(unglued)
+    quotient_vertices, quotient_edges, cells, invalid = quotient_cells(
+        [3] * (4 * count),
+        [4 * t + i if i >= 0 else -1 for t in range(count) for i in _TET_DART_TAIL],
+        [16 * t + d for t in range(count) for d in _TET_DART_REV],
+        [(4 * t, 4 * t2, 16 * t, 16 * t2, *_IDENTIFIED[f, perm]) for t, f, t2, perm in glued],
+        fixed + opened,
+        opened,
+    )
+    for d in invalid:
+        problems.append(
+            f"edge {(d >> 2) & 3}{d & 3} of tet {d >> 4} is glued to itself in reverse"
+        )
+    quotient_faces = len(glued) + len(unglued)
     euler = quotient_vertices - quotient_edges + quotient_faces - count
-
-    classes: dict = {}
-    for tv in all_vertices:
-        classes.setdefault(vertex_uf.find(tv), []).append(tv)
-    links: list[VertexLinkReport] = []
-    for root in sorted(classes):
-        members = classes[root]
-        disks = len(members)
-        link_edges = len(
-            {side_uf.find((t, i, f)) for t, i in members for f in range(4) if f != i}
-        )
-        link_vertices = len(
-            {corner_uf.find((t, i, j)) for t, i in members for j in range(4) if j != i}
-        )
-        link_closed = all(
-            (t, f) in usable for t, i in members for f in range(4) if f != i
-        )
-        connected = vertex_uf.class_count(members) == 1
-        euler_link = disks - link_edges + link_vertices
-        links.append(
-            VertexLinkReport(min(members), disks, euler_link, connected, link_closed)
-        )
+    links = [
+        VertexLinkReport((v >> 2, v & 3), disks, euler_link, True, link_closed)
+        for v, disks, euler_link, link_closed in cells
+    ]
 
     return ManifoldReport(
         cells=count,

@@ -10,7 +10,10 @@ library so that agreement is evidence, not tautology:
   lobell_volume_clausen / fibonacci_volume_clausen evaluate the volume
   formulas, angles included, at 30 digits on the same route;
 * coloring_count_oracle brute-forces colorings in reverse face order with
-  its own adjacency and rank computations.
+  its own adjacency and rank computations;
+* verify_triangulation and verify_closed_manifold are the library's
+  verifiers as they were before the integer-id core, with one union-find
+  per kind of cell keyed by tuples and frozensets.
 """
 
 from __future__ import annotations
@@ -19,6 +22,17 @@ import math
 
 import mpmath
 from scipy.integrate import quad
+
+from lobfib.gluing import (
+    GluedComplex,
+    ManifoldReport,
+    VertexLinkReport,
+    _copy_orientations,
+    _match_structure_problem,
+    match_is_orientation_reversing,
+)
+from lobfib.polytope import CombinatorialPolytope
+from lobfib.triangulation import Triangulation
 
 
 def lobachevsky_oracle(x: float) -> float:
@@ -154,3 +168,362 @@ def coloring_count_oracle(polytope) -> int:
 
     recurse(count_faces - 1)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the dict-keyed manifold verifiers
+# ---------------------------------------------------------------------------
+# The two verifiers as they stood before lobfib moved them onto flat-list
+# union-finds over integer ids, kept verbatim (cells keyed by tuples and
+# frozensets) so that tests/test_verifier_core.py can require identical
+# reports from the old and the new code.
+
+
+class UnionFind:
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        while p != x:
+            self.parent[x] = p = self.parent[p]
+            x, p = p, self.parent[p]
+        return x
+
+    def union(self, x, y) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+    def class_count(self, keys) -> int:
+        return len({self.find(k) for k in keys})
+
+
+def _perm_is_odd(perm: tuple[int, int, int, int]) -> bool:
+    swaps = sum(
+        1
+        for i in range(4)
+        for j in range(i + 1, 4)
+        if perm[i] > perm[j]
+    )
+    return swaps % 2 == 1
+
+
+class _ParityUnionFind:
+    """Union-find with a Z/2 weight; union(x, y, d) asserts
+    weight(x) - weight(y) = d and reports whether that is consistent."""
+
+    def __init__(self) -> None:
+        self.parent: dict = {}
+        self.offset: dict = {}
+
+    def find(self, x):
+        if x not in self.parent:
+            self.parent[x] = x
+            self.offset[x] = 0
+            return x, 0
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        parity = 0
+        for y in reversed(path):
+            parity ^= self.offset[y]
+            self.parent[y] = x
+            self.offset[y] = parity
+        return x, self.offset[path[0]] if path else 0
+
+    def union(self, x, y, d: int) -> bool:
+        rx, px = self.find(x)
+        ry, py = self.find(y)
+        if rx == ry:
+            return (px ^ py) == d
+        self.parent[ry] = rx
+        self.offset[ry] = px ^ py ^ d
+        return True
+
+
+def verify_triangulation(tri: Triangulation) -> ManifoldReport:
+    """Check the gluing axioms and that the quotient is a closed orientable
+    3-manifold; every failed condition is reported, nothing is raised."""
+    problems: list[str] = []
+    count = tri.tet_count
+
+    unglued = [(t, f) for t in range(count) for f in range(4) if tri.gluings[t][f] is None]
+    closed = not unglued
+    if unglued:
+        shown = ", ".join(map(str, unglued[:8])) + ("..." if len(unglued) > 8 else "")
+        problems.append(f"unglued faces: {shown}")
+
+    usable: dict[tuple[int, int], Gluing] = {}
+    for t in range(count):
+        for f in range(4):
+            entry = tri.gluings[t][f]
+            if entry is None:
+                continue
+            t2, f2, perm = entry
+            if not (0 <= t2 < count):
+                problems.append(f"gluing of tet {t} face {f} references tetrahedron {t2}")
+                continue
+            if sorted(perm) != [0, 1, 2, 3]:
+                problems.append(
+                    f"gluing of tet {t} face {f}: {perm} is not a permutation of 0..3"
+                )
+                continue
+            if perm[f] != f2:
+                problems.append(
+                    f"gluing of tet {t} face {f}: perm {perm} sends face {f} "
+                    f"to {perm[f]}, not to face {f2}"
+                )
+                continue
+            back = tri.gluings[t2][f2]
+            if (
+                back is None
+                or back[0] != t
+                or back[1] != f
+                or any(back[2][perm[i]] != i for i in range(4))
+            ):
+                problems.append(
+                    f"gluing of tet {t} face {f} is not mirrored by tet {t2} face {f2}"
+                )
+                continue
+            usable[(t, f)] = entry
+
+    vertex_uf = UnionFind()
+    edge_uf = UnionFind()
+    side_uf = UnionFind()
+    corner_uf = UnionFind()
+    parity = _ParityUnionFind()
+
+    all_vertices = [(t, i) for t in range(count) for i in range(4)]
+    all_edges = [
+        (t, frozenset((i, j))) for t in range(count) for i in range(4) for j in range(i + 1, 4)
+    ]
+    for tv in all_vertices:
+        vertex_uf.find(tv)
+    for te in all_edges:
+        edge_uf.find(te)
+    for t in range(count):
+        for i in range(4):
+            for f in range(4):
+                if f != i:
+                    side_uf.find((t, i, f))
+            for j in range(4):
+                if j != i:
+                    corner_uf.find((t, i, j))
+
+    orientable = True
+    for (t, f), (t2, f2, perm) in usable.items():
+        on_face = [i for i in range(4) if i != f]
+        for i in on_face:
+            vertex_uf.union((t, i), (t2, perm[i]))
+            side_uf.union((t, i, f), (t2, perm[i], f2))
+        for a in range(3):
+            for b in range(a + 1, 3):
+                i, j = on_face[a], on_face[b]
+                edge_uf.union((t, frozenset((i, j))), (t2, frozenset((perm[i], perm[j]))))
+        for i in on_face:
+            for j in on_face:
+                if i != j:
+                    corner_uf.union((t, i, j), (t2, perm[i], perm[j]))
+        if not parity.union(t, t2, 0 if _perm_is_odd(perm) else 1):
+            orientable = False
+    if not orientable:
+        problems.append(
+            "no assignment of tetrahedron orientations makes every gluing compatible"
+        )
+
+    quotient_vertices = vertex_uf.class_count(all_vertices)
+    quotient_edges = edge_uf.class_count(all_edges)
+    face_orbits = {frozenset(((t, f), entry[:2])) for (t, f), entry in usable.items()}
+    quotient_faces = len(face_orbits) + len(unglued)
+    euler = quotient_vertices - quotient_edges + quotient_faces - count
+
+    classes: dict = {}
+    for tv in all_vertices:
+        classes.setdefault(vertex_uf.find(tv), []).append(tv)
+    links: list[VertexLinkReport] = []
+    for root in sorted(classes):
+        members = classes[root]
+        disks = len(members)
+        link_edges = len(
+            {side_uf.find((t, i, f)) for t, i in members for f in range(4) if f != i}
+        )
+        link_vertices = len(
+            {corner_uf.find((t, i, j)) for t, i in members for j in range(4) if j != i}
+        )
+        link_closed = all(
+            (t, f) in usable for t, i in members for f in range(4) if f != i
+        )
+        connected = vertex_uf.class_count(members) == 1
+        euler_link = disks - link_edges + link_vertices
+        links.append(
+            VertexLinkReport(min(members), disks, euler_link, connected, link_closed)
+        )
+
+    return ManifoldReport(
+        cells=count,
+        quotient_vertices=quotient_vertices,
+        quotient_edges=quotient_edges,
+        quotient_faces=quotient_faces,
+        euler_characteristic=euler,
+        closed=closed,
+        orientable=orientable,
+        vertex_links=links,
+        problems=problems,
+    )
+
+
+def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
+    """Check that the quotient of the complex is a closed orientable
+    3-manifold; every condition is reported rather than raised."""
+    problems: list[str] = []
+
+    slots = gc.all_slots()
+    slot_set = set(slots)
+    unmatched = [s for s in slots if not gc.pairing.has(s)]
+    alien = [s for s in gc.pairing.slots() if s not in slot_set]
+    closed = not unmatched and not alien
+    if unmatched:
+        problems.append(f"unmatched faces: {unmatched}")
+    if alien:
+        problems.append(f"pairing references faces outside the complex: {alien}")
+
+    match_problems = [_match_structure_problem(gc, m) for m in gc.pairing.matches]
+    problems.extend(p for p in match_problems if p)
+
+    # quotient cells by union-find over the identifications
+    vertex_uf = UnionFind()
+    edge_uf = UnionFind()
+    all_vertices = [
+        (ci, v) for ci, p in enumerate(gc.polytopes) for v in p.vertices
+    ]
+    all_edges = [
+        (ci, e) for ci, p in enumerate(gc.polytopes) for e in p.edge_faces()
+    ]
+    for ci, v in all_vertices:
+        vertex_uf.find((ci, v))
+    for ci, e in all_edges:
+        edge_uf.find((ci, e))
+
+    usable_matches = [
+        m for m, problem in zip(gc.pairing.matches, match_problems) if problem is None
+    ]
+    for m in usable_matches:
+        (ci, fi), (cj, fj) = m.source, m.target
+        for v, w in m.vertex_map.items():
+            vertex_uf.union((ci, v), (cj, w))
+        for e in gc.polytopes[ci].face_cycle_edges(fi):
+            image = frozenset(m.vertex_map[v] for v in e)
+            edge_uf.union((ci, e), (cj, image))
+
+    quotient_vertices = vertex_uf.class_count(all_vertices)
+    quotient_edges = edge_uf.class_count(all_edges)
+    matched_slots = sum(1 for s in slots if gc.pairing.has(s))
+    quotient_faces = matched_slots // 2 + len(unmatched)
+    cells = gc.copies
+    euler = quotient_vertices - quotient_edges + quotient_faces - cells
+
+    # vertex links: one polygonal disk per (copy, vertex); sides indexed by
+    # the face corners at the vertex, corners by the edges at the vertex
+    at_vertex_cache: dict[int, dict[str, list[int]]] = {}
+    for ci, p in enumerate(gc.polytopes):
+        if id(p) not in at_vertex_cache:
+            table: dict[str, list[int]] = {v: [] for v in p.vertices}
+            for fi, f in enumerate(p.faces):
+                for v in f:
+                    table[v].append(fi)
+            at_vertex_cache[id(p)] = table
+
+    side_uf = UnionFind()
+    corner_uf = UnionFind()
+    disk_uf = UnionFind()
+    disk_sides: dict[tuple[int, str], list[tuple]] = {}
+    side_matched: dict[tuple, bool] = {}
+
+    def face_neighbors(p: CombinatorialPolytope, fi: int, v: str) -> tuple[str, str]:
+        cyc = p.faces[fi]
+        k = cyc.index(v)
+        return cyc[(k - 1) % len(cyc)], cyc[(k + 1) % len(cyc)]
+
+    for ci, p in enumerate(gc.polytopes):
+        table = at_vertex_cache[id(p)]
+        for v in p.vertices:
+            disk = (ci, v)
+            disk_uf.find(disk)
+            sides = []
+            for fi in table[v]:
+                side = (ci, v, fi)
+                sides.append(side)
+                side_uf.find(side)
+                prev_v, next_v = face_neighbors(p, fi, v)
+                corner_uf.find((ci, v, frozenset((v, prev_v))))
+                corner_uf.find((ci, v, frozenset((v, next_v))))
+                side_matched.setdefault(side, False)
+            disk_sides[disk] = sides
+
+    for m in usable_matches:
+        (ci, fi), (cj, fj) = m.source, m.target
+        p = gc.polytopes[ci]
+        for v in p.faces[fi]:
+            w = m.vertex_map[v]
+            side_a, side_b = (ci, v, fi), (cj, w, fj)
+            side_uf.union(side_a, side_b)
+            side_matched[side_a] = True
+            side_matched[side_b] = True
+            disk_uf.union((ci, v), (cj, w))
+            prev_v, next_v = face_neighbors(p, fi, v)
+            for nb in (prev_v, next_v):
+                corner_uf.union(
+                    (ci, v, frozenset((v, nb))),
+                    (cj, w, frozenset((w, m.vertex_map[nb]))),
+                )
+
+    links: list[VertexLinkReport] = []
+    classes: dict = {}
+    for ci, v in all_vertices:
+        classes.setdefault(vertex_uf.find((ci, v)), []).append((ci, v))
+    for root in sorted(classes, key=lambda r: (r[0], gc.polytopes[r[0]].vertex_index(r[1]))):
+        members = classes[root]
+        disks = len(members)
+        sides = [s for d in members for s in disk_sides[d]]
+        corners = set()
+        for ci, v, fi in sides:
+            prev_v, next_v = face_neighbors(gc.polytopes[ci], fi, v)
+            corners.add(corner_uf.find((ci, v, frozenset((v, prev_v)))))
+            corners.add(corner_uf.find((ci, v, frozenset((v, next_v)))))
+        link_edges = len({side_uf.find(s) for s in sides})
+        link_closed = all(side_matched[s] for s in sides)
+        connected = disk_uf.class_count(members) == 1
+        euler_link = disks - link_edges + len(corners)
+        rep = min(members, key=lambda d: (d[0], gc.polytopes[d[0]].vertex_index(d[1])))
+        links.append(VertexLinkReport(rep, disks, euler_link, connected, link_closed))
+
+    # orientability with the given copy signs
+    orientable = True
+    try:
+        orientations = _copy_orientations(gc)
+    except ValueError as exc:
+        problems.append(f"copy boundary not orientable: {exc}")
+        orientable = False
+    else:
+        bad = [
+            m.name
+            for m in usable_matches
+            if not match_is_orientation_reversing(gc, m, orientations)
+        ]
+        if bad:
+            orientable = False
+            problems.append(f"orientation-incompatible matches: {bad}")
+
+    return ManifoldReport(
+        cells=cells,
+        quotient_vertices=quotient_vertices,
+        quotient_edges=quotient_edges,
+        quotient_faces=quotient_faces,
+        euler_characteristic=euler,
+        closed=closed,
+        orientable=orientable,
+        vertex_links=links,
+        problems=problems,
+    )

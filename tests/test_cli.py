@@ -201,6 +201,41 @@ class TestExitCodes:
         assert result.stderr.startswith("error: not valid JSON")
 
     @pytest.mark.parametrize(
+        "document, message",
+        (
+            ('{"n": 5, "colors": []}', "error: coloring field 'colors' must map face labels"),
+            ('{"n": 5, "colors": {"1": []}}', "error: color of face 1 must be a color name"),
+            ("[" * 200_000 + "]" * 200_000, "error: coloring document is nested too deeply"),
+        ),
+    )
+    def test_malformed_coloring_file_exits_1(self, tmp_path, document, message):
+        path = tmp_path / "coloring.json"
+        path.write_text(document)
+        result = run("triangulate", "--family", "lobell", "--n", "5", "--color", f"file:{path}")
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.startswith(message) and result.stderr.count("\n") == 1, (
+            result.stderr[-300:]
+        )
+
+    def test_deeply_nested_triangulation_file_exits_1(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        result = run("verify", "--file", str(path))
+        assert result.returncode == 1
+        assert result.stderr == "error: not valid JSON: nested too deeply\n", result.stderr[-300:]
+
+    def test_coloring_for_another_n_exits_1(self, tmp_path):
+        coloring = tmp_path / "c6.json"
+        colored = run("color", "--family", "lobell", "--n", "6", "--out", str(coloring))
+        assert colored.returncode == 0, colored.stderr
+        result = run(
+            "triangulate", "--family", "lobell", "--n", "5", "--color", f"file:{coloring}",
+            "--format", "text",
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == "error: coloring is for R(6), but --n is 5\n"
+
+    @pytest.mark.parametrize(
         "argv",
         (
             ("frobnicate",),
