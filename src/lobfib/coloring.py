@@ -129,7 +129,11 @@ class FaceColoring:
         for key, name in doc["colors"].items():
             if not isinstance(name, str):
                 raise ValueError(f"color of face {key} must be a color name, got {name!r}")
-            colors[int(key)] = Z2Vector3.from_name(name)
+            try:
+                label = int(key)
+            except ValueError:
+                raise ValueError(f"face label {key!r} must be an integer") from None
+            colors[label] = Z2Vector3.from_name(name)
         return FaceColoring(n, colors)
 
 
@@ -154,8 +158,9 @@ def _label_by_index(p: CombinatorialPolytope) -> dict[int, int]:
 
 
 def validate_coloring(p: CombinatorialPolytope, c: FaceColoring) -> ColoringReport:
-    """Check the three validity conditions of a coloring of p.
+    """Check the four validity conditions of a coloring of p.
 
+    total:              the colored labels are exactly the face labels of p
     proper:             faces sharing an edge receive different colors
     vertex_independent: the colors around each vertex are independent in (Z/2)^3
     surjective:         the used colors generate all of (Z/2)^3
@@ -163,8 +168,13 @@ def validate_coloring(p: CombinatorialPolytope, c: FaceColoring) -> ColoringRepo
     checks: list[tuple[str, bool, str]] = []
     lab = _label_by_index(p)
 
-    total = all(lab[fi] in c.colors for fi in range(len(p.faces)))
-    checks.append(("total", total, "every face must be colored"))
+    labels = set(lab.values())
+    missing = sorted(labels - c.colors.keys())
+    extra = [label for label in c.colors if label not in labels]
+    total = not missing and not extra
+    checks.append(
+        ("total", total, f"colored labels must be the faces: missing {missing}, extra {extra}")
+    )
     if not total:
         return ColoringReport(checks)
 

@@ -176,7 +176,8 @@ def assemble_lobell(c: FaceColoring) -> GluedComplex:
     report = validate_coloring(p, c)
     if not report.ok:
         bad = [name for name, passed, _ in report.checks if not passed]
-        raise ValueError(f"coloring of R({c.n}) is not valid: fails {bad}")
+        detail = "; ".join(d for _, passed, d in report.checks if not passed)
+        raise ValueError(f"coloring of R({c.n}) is not valid: fails {bad} ({detail})")
 
     label_of = {fi: int(lab) for lab, fi in p.face_labels.items()}
     matches: list[FaceMatch] = []

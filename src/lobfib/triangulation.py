@@ -11,17 +11,15 @@ Gluings must be mutually inverse.  The JSON serialization is
 
 with an entry of null for an unglued face.
 
-triangulate_fibonacci cones Y(n) from its apex vertex Q: one tetrahedron per
-face not containing Q (3n in all), lateral walls either glued to the matching
-wall of the neighbouring cone tetrahedron or realizing a face F_i (odd i)
-of the polytope.  The face pairing s_i then glues the realized boundary
-faces in pairs.
-
-triangulate_lobell takes the 8-copy assembly determined by a coloring:
-inside each copy every face is fanned into triangles from its least-index
-vertex and each triangle is coned from a fresh apex at the copy's centre
-(8n - 4 tetrahedra per copy, 32(2n - 1) in all); fan triangles of face F in
-copy g are glued by the identity to the same triangles in copy g + color(F).
+triangulate fans every face of a GluedComplex and cones each copy from the
+vertex apex, or from a fresh vertex apex<copy>: one tetrahedron [cone,
+*triangle] per fan triangle of each face avoiding the cone, ordered by copy,
+face and fan.  A face through the cone is fanned from it, any other from its
+least-index vertex, except that a match carries the fan of its face through
+the cone, or else of its source, to its partner; triangles run in their
+face's cyclic order from their least-index vertex.  Cone walls are glued by
+the identity, matched triangles by the match's vertex map.  Fresh apexes give
+8n - 4 tetrahedra per copy of R(n), 32(2n - 1) in all; Y(n) coned from Q, 3n.
 
 verify_triangulation checks the gluing axioms, the quotient cell counts and
 Euler characteristic, that every vertex link is a sphere (connected by
@@ -40,14 +38,18 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Optional
 
-from .coloring import GROUP8, FaceColoring, group_index, validate_coloring
+from .coloring import FaceColoring
 from .gluing import (
+    GluedComplex,
     ManifoldReport,
+    Slot,
+    StructureError,
     VertexLinkReport,
-    fibonacci_pairing,
+    _match_structure_problem,
+    assemble_fibonacci,
+    assemble_lobell,
     quotient_cells,
 )
-from .polytope import build_fibonacci_polytope, build_lobell_polytope
 
 Gluing = tuple[int, int, tuple[int, int, int, int]]
 
@@ -159,131 +161,113 @@ def import_triangulation(text: str) -> Triangulation:
 
 
 # ---------------------------------------------------------------------------
-# construction helpers
+# construction
 # ---------------------------------------------------------------------------
 
-def _set_glue(
-    tets: list[list[str]],
-    gluings: list[list[Optional[Gluing]]],
-    slot_a: tuple[int, int],
-    slot_b: tuple[int, int],
-    face_map: dict[str, str],
-) -> None:
-    """Record the gluing of slot_a onto slot_b given the bijection between
-    the two triangles' vertices; also records the inverse gluing."""
-    inverse = {w: v for v, w in face_map.items()}
-    for (ta, fa), (tb, fb), vmap in (
-        (slot_a, slot_b, face_map),
-        (slot_b, slot_a, inverse),
-    ):
-        perm = [0, 0, 0, 0]
-        for k, v in enumerate(tets[ta]):
-            perm[k] = fb if k == fa else tets[tb].index(vmap[v])
-        gluings[ta][fa] = (tb, fb, tuple(perm))
+def _glue(tets: list[list[str]], gluings: list, a: Slot, b: Slot, vmap: Optional[dict]) -> None:
+    """Glue slot a onto slot b, carrying the vertices of a's triangle by vmap
+    (the identity when None), and b back onto a by the inverse."""
+    (ta, fa), (tb, fb) = a, b
+    image = tets[tb]
+    perm = tuple([
+        fb if k == fa else image.index(v if vmap is None else vmap[v])
+        for k, v in enumerate(tets[ta])
+    ])
+    gluings[ta][fa] = (tb, fb, perm)
+    gluings[tb][fb] = (ta, fa, _INVERSE[perm])
 
 
-def _identity_on(vertices) -> dict[str, str]:
-    return {v: v for v in vertices}
+def triangulate(gc: GluedComplex, apex: Optional[str] = None) -> Triangulation:
+    """Fan the faces of every copy of gc and cone each copy from the vertex
+    apex, or from a fresh vertex apex<copy> when apex is None.  The
+    tetrahedron over fan triangle k of face fi of copy c is labelled
+    {"copy": c, "face": fi, "fan": k, "vertices": [cone, *triangle]}.
+
+    Raises StructureError naming a match whose vertex map does not carry
+    the fan of one of its faces onto triangles of the other.
+    """
+    cones = [f"apex{c}" if apex is None else apex for c in range(gc.copies)]
+    through = [[cone in face for face in p.faces] for cone, p in zip(cones, gc.polytopes)]
+    fans = {}  # (copy, face) -> triangles
+    for c, p in enumerate(gc.polytopes):
+        for fi, face in enumerate(p.faces):
+            k = face.index(cones[c] if through[c][fi] else min(face, key=p.vertex_index))
+            cyc = face[k:] + face[:k]
+            fans[c, fi] = [(cyc[0], cyc[j], cyc[j + 1]) for j in range(1, len(cyc) - 1)]
+
+    # each match glues the fan of one face (a) onto its image in the other
+    # (b), which takes that fan unless b is fanned from the cone vertex itself
+    carried = []
+    for m in gc.pairing.matches:
+        problem = _match_structure_problem(gc, m)
+        if problem:
+            raise StructureError(problem)
+        a, b, vmap = m.source, m.target, m.vertex_map
+        if through[b[0]][b[1]] and not through[a[0]][a[1]]:
+            a, b, vmap = b, a, m.inverse_map()
+        if not through[b[0]][b[1]]:
+            p = gc.polytopes[b[0]]
+            pos = {v: k for k, v in enumerate(p.faces[b[1]])}
+            fans[b] = []
+            for tri in fans[a]:
+                img = sorted(map(vmap.__getitem__, tri), key=pos.__getitem__)
+                k = img.index(min(img, key=p.vertex_index))
+                fans[b].append((*img[k:], *img[:k]))
+        carried.append((a, b, vmap, m.name))
+
+    tets: list[list[str]] = []
+    labels: list[dict] = []
+    first: dict[Slot, int] = {}  # fan triangle k of a face is tetrahedron first + k
+    for (c, fi), fan in fans.items():
+        if through[c][fi]:
+            continue
+        first[c, fi] = len(tets)
+        for k, (x, y, z) in enumerate(fan):
+            tets.append([cones[c], x, y, z])
+            labels.append({"copy": c, "face": fi, "fan": k, "vertices": tets[-1]})
+    # a pass of its own: wall keys allocated between the labels would pin
+    # their memory after the walls are freed (Löbell pipeline peak RSS +3 %)
+    walls: dict[tuple[int, frozenset], list[Slot]] = {}
+    for t, (_, x, y, z) in enumerate(tets):
+        c = labels[t]["copy"]
+        for f, e in ((1, (y, z)), (2, (x, z)), (3, (x, y))):
+            walls.setdefault((c, frozenset(e)), []).append((t, f))
+
+    gluings: list[list[Optional[Gluing]]] = [[None] * 4 for _ in tets]
+    for slots in walls.values():
+        if len(slots) == 2:
+            _glue(tets, gluings, slots[0], slots[1], None)
+
+    def slot(s: Slot, k: int, tri) -> Optional[Slot]:
+        """Where triangle k of the fan of face s lies: on the base of a cone
+        tetrahedron, or, through the cone vertex, on the one wall over the
+        opposite edge."""
+        if not through[s[0]][s[1]]:
+            return first[s] + k, 0
+        wall = walls.get((s[0], frozenset(tri) - {cones[s[0]]}), ())
+        return wall[0] if len(wall) == 1 else None
+
+    for a, b, vmap, name in carried:
+        for k, tri in enumerate(fans[a]):
+            image = slot(b, k, map(vmap.__getitem__, tri))
+            if image is None:
+                raise StructureError(
+                    f"match {name} does not carry the fan of face slot {a} "
+                    f"onto triangles of face slot {b}"
+                )
+            _glue(tets, gluings, slot(a, k, tri), image, vmap)
+    return Triangulation(gluings, labels=labels)
 
 
 def triangulate_fibonacci(n: int) -> Triangulation:
     """Cone Y(n) from Q and glue along the pairing s_1..s_2n (3n tetrahedra)."""
-    p = build_fibonacci_polytope(n)
-    pairing = fibonacci_pairing(p)
-    edge_to_faces = p.edge_faces()
-    has_apex = ["Q" in face for face in p.faces]
-    name_of = {fi: name for name, fi in p.face_labels.items()}
-
-    tets: list[list[str]] = []
-    labels: list[dict] = []
-    tet_of_base: dict[int, int] = {}
-    for fi, face in enumerate(p.faces):
-        if has_apex[fi]:
-            continue
-        k = min(range(3), key=lambda j: p.vertex_index(face[j]))
-        base = face[k:] + face[:k]
-        tet_of_base[fi] = len(tets)
-        labels.append({"base": name_of[fi], "vertices": ["Q", *base]})
-        tets.append(["Q", *base])
-
-    # where each tetrahedron face sits: its own base triangle, a polytope
-    # face containing Q, or an internal cone wall over a base edge
-    face_slot: dict[int, tuple[int, int]] = {}
-    walls: dict[frozenset, list[tuple[int, int]]] = {}
-    for fi, t in tet_of_base.items():
-        face_slot[fi] = (t, 0)
-        base = tets[t][1:]
-        for f in (1, 2, 3):
-            e = frozenset(base[j] for j in range(3) if j != f - 1)
-            other = next(g for g in edge_to_faces[e] if g != fi)
-            if has_apex[other]:
-                face_slot[other] = (t, f)
-            else:
-                walls.setdefault(e, []).append((t, f))
-
-    gluings: list[list[Optional[Gluing]]] = [[None] * 4 for _ in tets]
-    for e, slots in walls.items():
-        a, b = slots
-        _set_glue(tets, gluings, a, b, _identity_on({"Q", *e}))
-    for m in pairing.matches:
-        (_, fi), (_, fj) = m.source, m.target
-        _set_glue(tets, gluings, face_slot[fi], face_slot[fj], m.vertex_map)
-    return Triangulation(gluings, labels=labels)
+    return triangulate(assemble_fibonacci(n), apex="Q")
 
 
 def triangulate_lobell(c: FaceColoring) -> Triangulation:
     """Fan-and-cone subdivision of the 8-copy assembly of R(n), glued across
     copies by the coloring (32(2n - 1) tetrahedra)."""
-    p = build_lobell_polytope(c.n)
-    report = validate_coloring(p, c)
-    if not report.ok:
-        bad = [name for name, passed, _ in report.checks if not passed]
-        raise ValueError(f"coloring of R({c.n}) is not valid: fails {bad}")
-    label_of = {fi: int(lab) for lab, fi in p.face_labels.items()}
-
-    fans: list[list[tuple[str, str, str]]] = []
-    for face in p.faces:
-        k = min(range(len(face)), key=lambda j: p.vertex_index(face[j]))
-        cyc = face[k:] + face[:k]
-        fans.append([(cyc[0], cyc[j], cyc[j + 1]) for j in range(1, len(cyc) - 1)])
-
-    tets: list[list[str]] = []
-    labels: list[dict] = []
-    tet_index: dict[tuple[int, int, int], int] = {}
-    for cid in range(8):
-        apex = f"apex{cid}"
-        for fi, fan in enumerate(fans):
-            for k, tri in enumerate(fan):
-                tet_index[(cid, fi, k)] = len(tets)
-                labels.append(
-                    {"copy": cid, "face": fi, "fan": k, "vertices": [apex, *tri]}
-                )
-                tets.append([apex, *tri])
-
-    gluings: list[list[Optional[Gluing]]] = [[None] * 4 for _ in tets]
-
-    # cone walls inside each copy, over polytope edges and fan diagonals
-    walls: dict[tuple[int, frozenset], list[tuple[int, int]]] = {}
-    for (cid, fi, k), t in tet_index.items():
-        tri = tets[t][1:]
-        for f in (1, 2, 3):
-            e = frozenset(tri[j] for j in range(3) if j != f - 1)
-            walls.setdefault((cid, e), []).append((t, f))
-    for (cid, e), slots in walls.items():
-        a, b = slots
-        _set_glue(tets, gluings, a, b, _identity_on({f"apex{cid}", *e}))
-
-    # boundary triangles glued across copies by the coloring
-    for fi, fan in enumerate(fans):
-        color = c.colors[label_of[fi]]
-        for g in GROUP8:
-            gi, hi = group_index(g), group_index(g + color)
-            if gi < hi:
-                for k in range(len(fan)):
-                    ta, tb = tet_index[(gi, fi, k)], tet_index[(hi, fi, k)]
-                    gluings[ta][0] = (tb, 0, (0, 1, 2, 3))
-                    gluings[tb][0] = (ta, 0, (0, 1, 2, 3))
-    return Triangulation(gluings, labels=labels)
+    return triangulate(assemble_lobell(c))
 
 
 # ---------------------------------------------------------------------------

@@ -13,26 +13,36 @@ library so that agreement is evidence, not tautology:
   its own adjacency and rank computations;
 * verify_triangulation and verify_closed_manifold are the library's
   verifiers as they were before the integer-id core, with one union-find
-  per kind of cell keyed by tuples and frozensets.
+  per kind of cell keyed by tuples and frozensets;
+* triangulate_lobell and triangulate_fibonacci are the library's two
+  bespoke triangulators as they were before the one triangulate, with
+  their family-specific wall and slot bookkeeping.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import mpmath
 from scipy.integrate import quad
 
+from lobfib.coloring import GROUP8, FaceColoring, group_index, validate_coloring
 from lobfib.gluing import (
     GluedComplex,
     ManifoldReport,
     VertexLinkReport,
     _copy_orientations,
     _match_structure_problem,
+    fibonacci_pairing,
     match_is_orientation_reversing,
 )
-from lobfib.polytope import CombinatorialPolytope
-from lobfib.triangulation import Triangulation
+from lobfib.polytope import (
+    CombinatorialPolytope,
+    build_fibonacci_polytope,
+    build_lobell_polytope,
+)
+from lobfib.triangulation import Gluing, Triangulation
 
 
 def lobachevsky_oracle(x: float) -> float:
@@ -527,3 +537,134 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
         vertex_links=links,
         problems=problems,
     )
+
+
+# ---------------------------------------------------------------------------
+# the two bespoke triangulators
+# ---------------------------------------------------------------------------
+# The triangulators as they stood before lobfib.triangulate replaced them,
+# kept verbatim so that tests/test_triangulate.py can require identical
+# gluing tables and tetrahedron vertices from the old and the new code.
+
+def _set_glue(
+    tets: list[list[str]],
+    gluings: list[list[Optional[Gluing]]],
+    slot_a: tuple[int, int],
+    slot_b: tuple[int, int],
+    face_map: dict[str, str],
+) -> None:
+    """Record the gluing of slot_a onto slot_b given the bijection between
+    the two triangles' vertices; also records the inverse gluing."""
+    inverse = {w: v for v, w in face_map.items()}
+    for (ta, fa), (tb, fb), vmap in (
+        (slot_a, slot_b, face_map),
+        (slot_b, slot_a, inverse),
+    ):
+        perm = [0, 0, 0, 0]
+        for k, v in enumerate(tets[ta]):
+            perm[k] = fb if k == fa else tets[tb].index(vmap[v])
+        gluings[ta][fa] = (tb, fb, tuple(perm))
+
+
+def _identity_on(vertices) -> dict[str, str]:
+    return {v: v for v in vertices}
+
+
+def triangulate_fibonacci(n: int) -> Triangulation:
+    """Cone Y(n) from Q and glue along the pairing s_1..s_2n (3n tetrahedra)."""
+    p = build_fibonacci_polytope(n)
+    pairing = fibonacci_pairing(p)
+    edge_to_faces = p.edge_faces()
+    has_apex = ["Q" in face for face in p.faces]
+    name_of = {fi: name for name, fi in p.face_labels.items()}
+
+    tets: list[list[str]] = []
+    labels: list[dict] = []
+    tet_of_base: dict[int, int] = {}
+    for fi, face in enumerate(p.faces):
+        if has_apex[fi]:
+            continue
+        k = min(range(3), key=lambda j: p.vertex_index(face[j]))
+        base = face[k:] + face[:k]
+        tet_of_base[fi] = len(tets)
+        labels.append({"base": name_of[fi], "vertices": ["Q", *base]})
+        tets.append(["Q", *base])
+
+    # where each tetrahedron face sits: its own base triangle, a polytope
+    # face containing Q, or an internal cone wall over a base edge
+    face_slot: dict[int, tuple[int, int]] = {}
+    walls: dict[frozenset, list[tuple[int, int]]] = {}
+    for fi, t in tet_of_base.items():
+        face_slot[fi] = (t, 0)
+        base = tets[t][1:]
+        for f in (1, 2, 3):
+            e = frozenset(base[j] for j in range(3) if j != f - 1)
+            other = next(g for g in edge_to_faces[e] if g != fi)
+            if has_apex[other]:
+                face_slot[other] = (t, f)
+            else:
+                walls.setdefault(e, []).append((t, f))
+
+    gluings: list[list[Optional[Gluing]]] = [[None] * 4 for _ in tets]
+    for e, slots in walls.items():
+        a, b = slots
+        _set_glue(tets, gluings, a, b, _identity_on({"Q", *e}))
+    for m in pairing.matches:
+        (_, fi), (_, fj) = m.source, m.target
+        _set_glue(tets, gluings, face_slot[fi], face_slot[fj], m.vertex_map)
+    return Triangulation(gluings, labels=labels)
+
+
+def triangulate_lobell(c: FaceColoring) -> Triangulation:
+    """Fan-and-cone subdivision of the 8-copy assembly of R(n), glued across
+    copies by the coloring (32(2n - 1) tetrahedra)."""
+    p = build_lobell_polytope(c.n)
+    report = validate_coloring(p, c)
+    if not report.ok:
+        bad = [name for name, passed, _ in report.checks if not passed]
+        raise ValueError(f"coloring of R({c.n}) is not valid: fails {bad}")
+    label_of = {fi: int(lab) for lab, fi in p.face_labels.items()}
+
+    fans: list[list[tuple[str, str, str]]] = []
+    for face in p.faces:
+        k = min(range(len(face)), key=lambda j: p.vertex_index(face[j]))
+        cyc = face[k:] + face[:k]
+        fans.append([(cyc[0], cyc[j], cyc[j + 1]) for j in range(1, len(cyc) - 1)])
+
+    tets: list[list[str]] = []
+    labels: list[dict] = []
+    tet_index: dict[tuple[int, int, int], int] = {}
+    for cid in range(8):
+        apex = f"apex{cid}"
+        for fi, fan in enumerate(fans):
+            for k, tri in enumerate(fan):
+                tet_index[(cid, fi, k)] = len(tets)
+                labels.append(
+                    {"copy": cid, "face": fi, "fan": k, "vertices": [apex, *tri]}
+                )
+                tets.append([apex, *tri])
+
+    gluings: list[list[Optional[Gluing]]] = [[None] * 4 for _ in tets]
+
+    # cone walls inside each copy, over polytope edges and fan diagonals
+    walls: dict[tuple[int, frozenset], list[tuple[int, int]]] = {}
+    for (cid, fi, k), t in tet_index.items():
+        tri = tets[t][1:]
+        for f in (1, 2, 3):
+            e = frozenset(tri[j] for j in range(3) if j != f - 1)
+            walls.setdefault((cid, e), []).append((t, f))
+    for (cid, e), slots in walls.items():
+        a, b = slots
+        _set_glue(tets, gluings, a, b, _identity_on({f"apex{cid}", *e}))
+
+    # boundary triangles glued across copies by the coloring
+    for fi, fan in enumerate(fans):
+        color = c.colors[label_of[fi]]
+        for g in GROUP8:
+            gi, hi = group_index(g), group_index(g + color)
+            if gi < hi:
+                for k in range(len(fan)):
+                    ta, tb = tet_index[(gi, fi, k)], tet_index[(hi, fi, k)]
+                    gluings[ta][0] = (tb, 0, (0, 1, 2, 3))
+                    gluings[tb][0] = (ta, 0, (0, 1, 2, 3))
+    return Triangulation(gluings, labels=labels)

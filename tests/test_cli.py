@@ -236,6 +236,29 @@ class TestExitCodes:
         assert result.stderr == "error: coloring is for R(6), but --n is 5\n"
 
     @pytest.mark.parametrize(
+        "label, message",
+        (
+            ("99", "error: coloring of R(5) is not valid: fails ['total'] "
+                   "(colored labels must be the faces: missing [], extra [99])\n"),
+            ("x", "error: face label 'x' must be an integer\n"),
+        ),
+        ids=("label-99", "label-x"),
+    )
+    def test_coloring_file_naming_a_face_r5_lacks_exits_1(self, tmp_path, label, message):
+        coloring = tmp_path / "c5.json"
+        colored = run("color", "--family", "lobell", "--n", "5", "--out", str(coloring))
+        assert colored.returncode == 0, colored.stderr
+        doc = json.loads(coloring.read_text())
+        doc["colors"][label] = "alpha"
+        coloring.write_text(json.dumps(doc))
+        result = run(
+            "triangulate", "--family", "lobell", "--n", "5", "--color", f"file:{coloring}",
+            "--format", "text",
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == message
+
+    @pytest.mark.parametrize(
         "argv",
         (
             ("frobnicate",),

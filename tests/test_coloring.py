@@ -98,6 +98,14 @@ class TestValidation:
         report = validate_coloring(p, c)
         assert not report.ok and report.checks[0][0] == "total"
 
+    def test_extra_label_rejected(self):
+        p = build_lobell_polytope(6)
+        c = known_lobell6_coloring()
+        c.colors[99] = ALPHA
+        report = validate_coloring(p, c)
+        assert not report.ok and report.checks[0][0] == "total"
+        assert report.checks[0][2].endswith("missing [], extra [99]")
+
     def test_non_surjective_rejected(self):
         """A two-color assignment on a bipartite-ish subdivision cannot span
         rank 3; surjectivity must be reported as the failure."""

@@ -4,7 +4,7 @@ quotient cell counts, JSON round trips, and detection of damaged tables."""
 import pytest
 
 from lobfib.coloring import GROUP8, canonical_coloring, group_index, known_lobell6_coloring
-from lobfib.polytope import build_lobell_polytope
+from lobfib.polytope import build_fibonacci_polytope, build_lobell_polytope
 from lobfib.triangulation import (
     Triangulation,
     TriangulationFormatError,
@@ -87,8 +87,9 @@ class TestSubdivisionLabels:
 
     def test_fibonacci_labels(self):
         tri = triangulate_fibonacci(5)
+        name_of = {fi: name for name, fi in build_fibonacci_polytope(5).face_labels.items()}
         assert len(tri.labels) == tri.tet_count
-        bases = [lab["base"] for lab in tri.labels]
+        bases = [name_of[lab["face"]] for lab in tri.labels]
         assert len(set(bases)) == 15, "one tetrahedron per face avoiding Q"
         assert all("*" in b or int(b[1:]) % 2 == 0 for b in bases), (
             "the cone bases are the starred faces and the even (R-apex) faces"
