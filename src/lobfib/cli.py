@@ -155,6 +155,8 @@ def _run_presentation(args) -> str:
     if args.family == LOBELL:
         pres = presentation_G(args.n)
     else:
+        if args.n < 4:  # the family starts at Y(4), as in every other subcommand
+            raise ValueError("capped antiprism needs n >= 4")
         pres = presentation_F2(2 * args.n)
     return pres.to_json() if args.format == "json" else pres.as_text()
 

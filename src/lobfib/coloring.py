@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from .polytope import LOBELL, CombinatorialPolytope, build_lobell_polytope
+from .polytope import CombinatorialPolytope
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +157,16 @@ def _label_by_index(p: CombinatorialPolytope) -> dict[int, int]:
     return {fi: int(lab) for lab, fi in p.face_labels.items()}
 
 
+def _faces_at_vertex(p: CombinatorialPolytope) -> dict[str, list[int]]:
+    """vertex -> indices of the faces through it, in increasing order, a face
+    as often as its cycle passes the vertex."""
+    at_vertex: dict[str, list[int]] = {v: [] for v in p.vertices}
+    for fi, f in enumerate(p.faces):
+        for v in f:
+            at_vertex[v].append(fi)
+    return at_vertex
+
+
 def validate_coloring(p: CombinatorialPolytope, c: FaceColoring) -> ColoringReport:
     """Check the four validity conditions of a coloring of p.
 
@@ -185,10 +195,7 @@ def validate_coloring(p: CombinatorialPolytope, c: FaceColoring) -> ColoringRepo
             improper.append((lab[x], lab[y]))
     checks.append(("proper", not improper, f"equal colors across an edge: {sorted(improper)}"))
 
-    at_vertex: dict[str, list[int]] = {v: [] for v in p.vertices}
-    for fi, f in enumerate(p.faces):
-        for v in f:
-            at_vertex[v].append(fi)
+    at_vertex = _faces_at_vertex(p)
     dependent = []
     for v in p.vertices:
         around = [c.colors[lab[fi]] for fi in at_vertex[v]]
@@ -203,6 +210,12 @@ def validate_coloring(p: CombinatorialPolytope, c: FaceColoring) -> ColoringRepo
     return ColoringReport(checks)
 
 
+# rank over Z/2 of the set of COLORS whose indices are the set bits of a mask
+_RANK_OF_MASK = tuple(
+    z2_rank(COLORS[ci] for ci in range(4) if mask >> ci & 1) for mask in range(16)
+)
+
+
 def enumerate_colorings(
     p: CombinatorialPolytope, limit: Optional[int] = None
 ) -> list[FaceColoring]:
@@ -211,50 +224,103 @@ def enumerate_colorings(
     Faces are colored in increasing face-index order and colors tried in the
     fixed order alpha, beta, gamma, delta; the first completion is therefore
     the canonical coloring of p.  ``limit`` truncates the enumeration
-    (limit=0 gives the empty list).  Iterative search, so large n is fine.
+    (limit=0 gives the empty list).
+
+    The search is forward-checked: every uncolored face keeps a bitmask of
+    the colors its colored neighbours leave it, and a branch is abandoned as
+    soon as one of those masks empties, not when the search reaches that
+    face.  Each condition of :func:`validate_coloring` is enforced where it
+    becomes decidable:
+
+    total               by construction, one color per face index;
+    proper              by the masks, a face only takes a color still allowed;
+    vertex_independent  when the last face around a vertex (highest index,
+                        counted with multiplicity) is colored; a vertex on
+                        no face passes;
+    surjective          at each leaf, on the set of colors used.
+
+    The results are therefore exactly the valid colorings, and exactly in the
+    order of a plain backtracking search with a final validity check.  The
+    search keeps an explicit stack, so large n is fine.
     """
     if limit is not None and limit <= 0:
         return []
     lab = _label_by_index(p)
-    nbrs: dict[int, set[int]] = {fi: set() for fi in range(len(p.faces))}
-    for pair in p.adjacent_face_pairs():
-        x, y = tuple(pair)
-        nbrs[x].add(y)
-        nbrs[y].add(x)
-
     count_faces = len(p.faces)
-    chosen: list[int] = []  # color index per face, in face order
+    later: list[list[int]] = [[] for _ in range(count_faces)]
+    for pair in p.adjacent_face_pairs():
+        x, y = sorted(pair)
+        later[x].append(y)
+
+    # the faces around each vertex, filed under the last of them
+    closes: list[list[list[int]]] = [[] for _ in range(count_faces)]
+    for around in _faces_at_vertex(p).values():
+        if around:
+            closes[around[-1]].append(around)
+
+    allowed = [0b1111] * count_faces  # bit ci: color ci still possible
+    bit = [0] * count_faces  # 1 << color index, per colored face
+    undo: list[tuple[int, int]] = []  # (face, its mask before a clear)
+    marks: list[int] = []  # len(undo) when each colored face took its color
     results: list[FaceColoring] = []
 
-    def admissible(fi: int, ci: int) -> bool:
-        return all(chosen[g] != ci for g in nbrs[fi] if g < fi)
+    def restore(mark: int) -> None:
+        while len(undo) > mark:
+            g, old = undo.pop()
+            allowed[g] = old
 
-    ci = 0
+    fi = ci = 0
     while True:
-        fi = len(chosen)
         if fi == count_faces:
-            coloring = FaceColoring(
-                p.n if p.n is not None else 0,
-                {lab[k]: COLORS[chosen[k]] for k in range(count_faces)},
-            )
-            if validate_coloring(p, coloring).ok:
-                results.append(coloring)
+            used = 0
+            for b in bit:
+                used |= b
+            if _RANK_OF_MASK[used] == 3:
+                results.append(FaceColoring(
+                    p.n if p.n is not None else 0,
+                    {lab[k]: COLORS[bit[k].bit_length() - 1] for k in range(count_faces)},
+                ))
                 if limit is not None and len(results) >= limit:
                     return results
-            # backtrack
-            ci = chosen.pop() + 1 if chosen else 4
-            if not chosen and ci >= 4:
+            ci = 4
+        else:
+            rest = allowed[fi] >> ci  # the colors from ci on still allowed
+            ci = ci + (rest & -rest).bit_length() - 1 if rest else 4
+        if ci == 4:  # nothing left to try here: backtrack
+            if fi == 0:
                 return results
+            fi -= 1
+            restore(marks.pop())
+            ci = bit[fi].bit_length()  # the color after the one it had
             continue
-        while ci < 4 and not admissible(fi, ci):
-            ci += 1
-        if ci < 4:
-            chosen.append(ci)
+
+        b = 1 << ci
+        mark = len(undo)
+        ok = True
+        for g in later[fi]:
+            old = allowed[g]
+            if old & b:
+                undo.append((g, old))
+                allowed[g] = old ^ b
+                if old == b:
+                    ok = False
+                    break
+        if ok:
+            bit[fi] = b
+            for around in closes[fi]:
+                used = 0
+                for g in around:
+                    used |= bit[g]
+                if _RANK_OF_MASK[used] != len(around):
+                    ok = False
+                    break
+        if ok:
+            marks.append(mark)
+            fi += 1
             ci = 0
         else:
-            if not chosen:
-                return results
-            ci = chosen.pop() + 1
+            restore(mark)
+            ci += 1
 
 
 def canonical_coloring(p: CombinatorialPolytope) -> FaceColoring:

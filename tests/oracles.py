@@ -11,6 +11,8 @@ library so that agreement is evidence, not tautology:
   formulas, angles included, at 30 digits on the same route;
 * coloring_count_oracle brute-forces colorings in reverse face order with
   its own adjacency and rank computations;
+* enumerate_colorings is the library's coloring search as it was before
+  forward checking: plain backtracking with validate_coloring at each leaf;
 * verify_triangulation and verify_closed_manifold are the library's
   verifiers as they were before the integer-id core, with one union-find
   per kind of cell keyed by tuples and frozensets;
@@ -27,7 +29,14 @@ from typing import Optional
 import mpmath
 from scipy.integrate import quad
 
-from lobfib.coloring import GROUP8, FaceColoring, group_index, validate_coloring
+from lobfib.coloring import (
+    COLORS,
+    GROUP8,
+    FaceColoring,
+    _label_by_index,
+    group_index,
+    validate_coloring,
+)
 from lobfib.gluing import (
     GluedComplex,
     ManifoldReport,
@@ -178,6 +187,68 @@ def coloring_count_oracle(polytope) -> int:
 
     recurse(count_faces - 1)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the leaf-checked coloring search
+# ---------------------------------------------------------------------------
+# lobfib's enumerate_colorings as it stood before forward checking, kept
+# verbatim so that tests/test_coloring.py can require the same colorings in
+# the same order from the old and the new search.
+
+
+def enumerate_colorings(
+    p: CombinatorialPolytope, limit: Optional[int] = None
+) -> list[FaceColoring]:
+    """All valid colorings of p, in the canonical backtracking order.
+
+    Faces are colored in increasing face-index order and colors tried in the
+    fixed order alpha, beta, gamma, delta; the first completion is therefore
+    the canonical coloring of p.  ``limit`` truncates the enumeration
+    (limit=0 gives the empty list).  Iterative search, so large n is fine.
+    """
+    if limit is not None and limit <= 0:
+        return []
+    lab = _label_by_index(p)
+    nbrs: dict[int, set[int]] = {fi: set() for fi in range(len(p.faces))}
+    for pair in p.adjacent_face_pairs():
+        x, y = tuple(pair)
+        nbrs[x].add(y)
+        nbrs[y].add(x)
+
+    count_faces = len(p.faces)
+    chosen: list[int] = []  # color index per face, in face order
+    results: list[FaceColoring] = []
+
+    def admissible(fi: int, ci: int) -> bool:
+        return all(chosen[g] != ci for g in nbrs[fi] if g < fi)
+
+    ci = 0
+    while True:
+        fi = len(chosen)
+        if fi == count_faces:
+            coloring = FaceColoring(
+                p.n if p.n is not None else 0,
+                {lab[k]: COLORS[chosen[k]] for k in range(count_faces)},
+            )
+            if validate_coloring(p, coloring).ok:
+                results.append(coloring)
+                if limit is not None and len(results) >= limit:
+                    return results
+            # backtrack
+            ci = chosen.pop() + 1 if chosen else 4
+            if not chosen and ci >= 4:
+                return results
+            continue
+        while ci < 4 and not admissible(fi, ci):
+            ci += 1
+        if ci < 4:
+            chosen.append(ci)
+            ci = 0
+        else:
+            if not chosen:
+                return results
+            ci = chosen.pop() + 1
 
 
 # ---------------------------------------------------------------------------

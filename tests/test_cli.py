@@ -181,6 +181,8 @@ class TestExitCodes:
             ("volume", "--family", "lobell", "--n", "3"),
             ("volume", "--family", "fibonacci", "--n", "2"),
             ("build-polytope", "--family", "lobell", "--n", "4"),
+            ("presentation", "--family", "fibonacci", "--n", "2"),
+            ("presentation", "--family", "fibonacci", "--n", "3"),
         ),
     )
     def test_domain_errors_exit_1(self, argv):

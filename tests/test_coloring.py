@@ -26,9 +26,14 @@ from lobfib.coloring import (
     validate_coloring,
     z2_rank,
 )
-from lobfib.polytope import build_lobell_polytope
+from lobfib.polytope import (
+    CombinatorialPolytope,
+    build_fibonacci_polytope,
+    build_lobell_polytope,
+)
 
 from oracles import coloring_count_oracle
+from oracles import enumerate_colorings as leaf_checked_colorings
 
 
 class TestColorAlphabet:
@@ -120,7 +125,7 @@ class TestEnumeration:
     """Backtracking enumeration is exhaustive (matches an independent brute
     force), deterministic, and closed under the 24 color permutations."""
 
-    @pytest.mark.parametrize("n,expected", [(5, 240), (6, 480)])
+    @pytest.mark.parametrize("n,expected", [(5, 240), (6, 480), (7, 1008), (8, 1152)])
     def test_counts_frozen(self, n, expected):
         found = enumerate_colorings(build_lobell_polytope(n))
         assert len(found) == expected, (
@@ -173,6 +178,121 @@ class TestEnumeration:
     def test_canonical_is_deterministic(self):
         p = build_lobell_polytope(7)
         assert canonical_coloring(p).colors == canonical_coloring(p).colors
+
+
+def _listing(colorings):
+    """Everything a result list says, dict order included."""
+    return [(c.n, list(c.colors.items())) for c in colorings]
+
+
+def _labelled(vertices, faces, n=None):
+    """A polytope with integer face labels 1..len(faces) in index order."""
+    return CombinatorialPolytope(
+        None, n, vertices, faces, {str(fi + 1): fi for fi in range(len(faces))}
+    )
+
+
+def _cube(extra_vertices=()):
+    vertices = [f"v{k}" for k in range(8)] + list(extra_vertices)
+    faces = [
+        ("v0", "v1", "v2", "v3"), ("v4", "v7", "v6", "v5"), ("v0", "v4", "v5", "v1"),
+        ("v1", "v5", "v6", "v2"), ("v2", "v6", "v7", "v3"), ("v3", "v7", "v4", "v0"),
+    ]
+    return _labelled(vertices, faces)
+
+
+def _triangular_prism(bottom=("a0", "a1", "a2")):
+    faces = [
+        bottom, ("b0", "b2", "b1"),
+        ("a0", "b0", "b1", "a1"), ("a1", "b1", "b2", "a2"), ("a2", "b2", "b0", "a0"),
+    ]
+    return _labelled(["a0", "a1", "a2", "b0", "b1", "b2"], faces)
+
+
+def _square_pyramid():
+    faces = [("p0", "p3", "p2", "p1")] + [("q", f"p{k}", f"p{(k + 1) % 4}") for k in range(4)]
+    return _labelled(["q", "p0", "p1", "p2", "p3"], faces)
+
+
+def _dihedron(n):
+    cycle = tuple(f"v{k}" for k in range(n))
+    return _labelled(list(cycle), [cycle, cycle[::-1]], n)
+
+
+def _relabelled_y4():
+    y = build_fibonacci_polytope(4)
+    return _labelled(y.vertices, y.faces, 4)
+
+
+class TestAgainstLeafCheckedSearch:
+    """The forward-checked search returns exactly what plain backtracking
+    with validate_coloring at every leaf returns (tests/oracles.py keeps that
+    search verbatim): the same colorings, in the same order, with the same
+    dict order."""
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_full_enumeration(self, n):
+        p = build_lobell_polytope(n)
+        found = enumerate_colorings(p)
+        assert _listing(found) == _listing(leaf_checked_colorings(p))
+        assert all(validate_coloring(p, c).ok for c in found)
+
+    @pytest.mark.parametrize("n", (5, 6))
+    @pytest.mark.parametrize("limit", (0, 1, 7, 100))
+    def test_limits(self, n, limit):
+        p = build_lobell_polytope(n)
+        found = enumerate_colorings(p, limit=limit)
+        assert _listing(found) == _listing(leaf_checked_colorings(p, limit=limit))
+        assert len(found) == limit
+
+    def test_canonical_coloring(self):
+        for n in [*range(5, 301), 1000, 2000]:
+            p = build_lobell_polytope(n)
+            assert _listing([canonical_coloring(p)]) == _listing(
+                leaf_checked_colorings(p, limit=1)
+            ), f"canonical coloring of R({n}) moved"
+
+    @pytest.mark.parametrize(
+        "build,count",
+        [
+            (_cube, 96),
+            (lambda: _cube(extra_vertices=("lonely",)), 96),
+            (_triangular_prism, 24),
+            # a1 is counted twice on the first face, so no coloring is valid
+            (lambda: _triangular_prism(bottom=("a0", "a1", "a2", "a1")), 0),
+            (_square_pyramid, 0),
+            (lambda: _dihedron(5), 0),
+        ],
+        ids=["cube", "cube_with_a_vertex_on_no_face", "triangular_prism",
+             "face_through_a_vertex_twice", "square_pyramid", "dihedron"],
+    )
+    def test_hand_built_polytopes(self, build, count):
+        p = build()
+        found = enumerate_colorings(p)
+        assert _listing(found) == _listing(leaf_checked_colorings(p))
+        assert len(found) == count
+        assert all(validate_coloring(p, c).ok for c in found)
+
+    def test_dihedron_fails_only_surjectivity(self):
+        p = _dihedron(5)
+        report = validate_coloring(p, FaceColoring(5, {1: ALPHA, 2: BETA}))
+        assert [name for name, passed, _ in report.checks if not passed] == ["surjective"]
+
+    def test_degree_five_vertices_prune_every_proper_coloring(self):
+        """Y(4)'s rim vertices lie on five faces, so no coloring is valid,
+        though 4 206 936 proper ones exist.  The leaf-checked search would
+        visit all of them, so here the proper, surjective witness below is
+        shown to fail on vertex independence alone."""
+        p = _relabelled_y4()
+        assert enumerate_colorings(p) == []
+        witness = "aabbaabbbagbgagd"
+        color = dict(zip("abgd", COLORS))
+        report = validate_coloring(
+            p, FaceColoring(4, {fi + 1: color[x] for fi, x in enumerate(witness)})
+        )
+        assert [name for name, passed, _ in report.checks if not passed] == [
+            "vertex_independent"
+        ]
 
 
 class TestColoringSerialization:
