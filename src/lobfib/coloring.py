@@ -115,24 +115,28 @@ class FaceColoring:
     @staticmethod
     def from_json(text: str) -> "FaceColoring":
         try:
-            doc = json.loads(text)
+            # objects as tuples of (key, value) pairs, keeping repeated keys
+            doc = json.loads(text, object_pairs_hook=tuple)
         except RecursionError:
             raise ValueError("coloring document is nested too deeply") from None
-        if not isinstance(doc, dict) or "n" not in doc or "colors" not in doc:
+        doc = dict(doc) if isinstance(doc, tuple) else {}
+        if "n" not in doc or "colors" not in doc:
             raise ValueError("coloring document needs fields 'n' and 'colors'")
         n = doc["n"]
         if not isinstance(n, int):
             raise ValueError("coloring field 'n' must be an integer")
-        if not isinstance(doc["colors"], dict):
+        if not isinstance(doc["colors"], tuple):
             raise ValueError("coloring field 'colors' must map face labels to color names")
         colors = {}
-        for key, name in doc["colors"].items():
+        for key, name in doc["colors"]:
             if not isinstance(name, str):
                 raise ValueError(f"color of face {key} must be a color name, got {name!r}")
             try:
                 label = int(key)
             except ValueError:
                 raise ValueError(f"face label {key!r} must be an integer") from None
+            if label in colors:
+                raise ValueError(f"face {label} is given twice")
             colors[label] = Z2Vector3.from_name(name)
         return FaceColoring(n, colors)
 
@@ -433,13 +437,3 @@ def presentation_F2(m: int) -> GroupPresentation:
         [(x(i), 1), (x(i + 1), 1), (x(i + 2), -1)] for i in range(1, m + 1)
     ]
     return GroupPresentation(gens, relators)
-
-
-def lobell_reflection_commutator_pairs(n: int) -> set[frozenset[int]]:
-    """Unordered face-label pairs appearing as commutators in presentation_G(n)."""
-    pres = presentation_G(n)
-    pairs: set[frozenset[int]] = set()
-    for w in pres.relators:
-        if len(w) == 4:
-            pairs.add(frozenset((int(w[0][0][1:]), int(w[1][0][1:]))))
-    return pairs

@@ -11,11 +11,15 @@ verify_closed_manifold checks all of that and reports per-item results,
 naming every edge glued to itself in reverse.  It shares its core,
 quotient_cells, with verify_triangulation: flat-list union-finds over
 integer ids, each copy numbering its vertices and darts (directed edges)
-from offsets into tables built once per polytope object.  A dart is also
-the corner of its tail's link disk, so one union-find gives the link
-vertices and the quotient edges, an edge being the pair {class of d, class
-of d reversed}.  A link's disks are one vertex class, so it is connected by
-construction.
+from offsets into the dart table of its polytope, built once per polytope
+object, so that dart d reverses to d ^ 1.  A dart is also the corner of its
+tail's link disk, so one union-find gives the link vertices and the quotient
+edges, an edge being the pair {class of d, class of d ^ 1}.  A link's disks
+are one vertex class, so it is connected by construction.  Orientability
+comes from the same tables: a match's turn is +1 if it carries its source
+face's cycle along its target face's and -1 if against it, and with s the
+face's sign in its copy's boundary orientation times the copy's sign, the
+match is orientation-incompatible iff turn * s(source) == s(target).
 
 Two assemblies are provided.
 
@@ -44,7 +48,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .coloring import (
     GROUP8,
@@ -55,9 +58,10 @@ from .coloring import (
 )
 from .polytope import (
     CombinatorialPolytope,
-    boundary_orientation,
+    _face_signs,
     build_fibonacci_polytope,
     build_lobell_polytope,
+    dart_table,
 )
 
 
@@ -494,75 +498,33 @@ class ManifoldReport:
         }
 
 
-def _is_rotation(seq: list, target: list) -> bool:
-    if len(seq) != len(target):
-        return False
-    if not seq:
-        return True
-    doubled = target + target
-    return any(doubled[k : k + len(seq)] == seq for k in range(len(target)))
-
-
-def _match_structure_problem(gc: GluedComplex, m: FaceMatch) -> Optional[str]:
+def _match_turn(gc: GluedComplex, m: FaceMatch) -> int:
+    """+1 if m carries its source face's cycle along its target face's, -1
+    if against it, 0 if both (as on faces of fewer than 3 vertices); raises
+    StructureError when m is no cycle-preserving bijection of two faces."""
     (ci, fi), (cj, fj) = m.source, m.target
     try:
         src = gc.polytopes[ci].faces[fi]
         tgt = gc.polytopes[cj].faces[fj]
     except IndexError:
-        return f"match {m.name} references a missing face slot"
+        raise StructureError(f"match {m.name} references a missing face slot") from None
     if set(m.vertex_map.keys()) != set(src) or set(m.vertex_map.values()) != set(tgt):
-        return f"match {m.name} is not a vertex bijection between its two faces"
-    image = [m.vertex_map[v] for v in src]
-    if not (_is_rotation(image, list(tgt)) or _is_rotation(image, list(reversed(tgt)))):
-        return f"match {m.name} does not respect the cyclic edge structure"
-    return None
+        raise StructureError(f"match {m.name} is not a vertex bijection between its two faces")
+    image = tuple(m.vertex_map[v] for v in src)
+    rotations = [tgt[k:] + tgt[:k] for k in range(len(tgt))] or [()]
+    along, against = image in rotations, image[::-1] in rotations
+    if not (along or against):
+        raise StructureError(f"match {m.name} does not respect the cyclic edge structure")
+    return along - against
 
 
-def _oriented_cycle(gc, orientations, slot: Slot) -> list[str]:
-    ci, fi = slot
-    cyc = list(gc.polytopes[ci].faces[fi])
-    if orientations[ci][fi] * gc.signs[ci] == -1:
-        cyc.reverse()
-    return cyc
-
-
-def match_is_orientation_reversing(gc: GluedComplex, m: FaceMatch, orientations=None) -> bool:
-    """Whether a match reverses the induced boundary orientation, taking the
-    copies' orientation signs into account."""
-    if orientations is None:
-        orientations = _copy_orientations(gc)
-    src = _oriented_cycle(gc, orientations, m.source)
-    tgt = _oriented_cycle(gc, orientations, m.target)
-    image = [m.vertex_map[v] for v in src]
-    return _is_rotation(image, list(reversed(tgt)))
-
-
-def _per_polytope(gc: GluedComplex, build) -> list:
-    """build(p) for every copy, called once per polytope object."""
+def _once_each(build, items) -> list:
+    """[build(x) for x in items], calling build once per distinct object."""
     cache: dict[int, object] = {}
-    for p in gc.polytopes:
-        if id(p) not in cache:
-            cache[id(p)] = build(p)
-    return [cache[id(p)] for p in gc.polytopes]
-
-
-def _copy_orientations(gc: GluedComplex) -> list[list[int]]:
-    return _per_polytope(gc, boundary_orientation)
-
-
-def _polytope_ids(p: CombinatorialPolytope):
-    """(vertex ids, dart ids, link sides per vertex) of one polytope; darts
-    are numbered in the order they first appear on the face cycles."""
-    vertex = {v: k for k, v in enumerate(p.vertices)}
-    dart: dict[tuple[str, str], int] = {}
-    sides_at = [0] * len(p.vertices)
-    for face in p.faces:
-        for k, v in enumerate(face):
-            w = face[k + 1 - len(face)]
-            dart.setdefault((v, w), len(dart))
-            dart.setdefault((w, v), len(dart))
-            sides_at[vertex[v]] += 1
-    return vertex, dart, sides_at
+    for x in items:
+        if id(x) not in cache:
+            cache[id(x)] = build(x)
+    return [cache[id(x)] for x in items]
 
 
 def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
@@ -580,43 +542,50 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
     if alien:
         problems.append(f"pairing references faces outside the complex: {alien}")
 
-    match_problems = [_match_structure_problem(gc, m) for m in gc.pairing.matches]
-    problems.extend(p for p in match_problems if p)
-    usable_matches = [
-        m for m, problem in zip(gc.pairing.matches, match_problems) if problem is None
-    ]
+    turns = []  # (match, turn) for every match fit to glue
+    for m in gc.pairing.matches:
+        try:
+            turns.append((m, _match_turn(gc, m)))
+        except StructureError as exc:
+            problems.append(str(exc))
 
-    # copy ci numbers its vertices from voff[ci] and its darts from doff[ci]
-    ids = _per_polytope(gc, _polytope_ids)
-    voff, doff = [0], [0]
-    for vertex, dart, _ in ids:
-        voff.append(voff[-1] + len(vertex))
-        doff.append(doff[-1] + len(dart))
+    # copy ci numbers its vertices from voff[ci] and its darts from doff[ci];
+    # every offset is even, so dart d of the complex reverses to d ^ 1
+    tables = _once_each(dart_table, gc.polytopes)
+    voff, doff, dart_tail = [0], [0], []
+    for p, (_, ends, _) in zip(gc.polytopes, tables):
+        dart_tail += [voff[-1] + p.vertex_index(u) for u, _ in ends]
+        voff.append(voff[-1] + len(p.vertices))
+        doff.append(doff[-1] + len(ends))
+    sides_at = [0] * voff[-1]
+    for ci, fi in slots:
+        for d in tables[ci][2][fi]:  # a side of the face is a side of its tail's link disk
+            sides_at[dart_tail[doff[ci] + d]] += 1
     identifications = []
-    for m in usable_matches:
+    for m, _ in turns:
         (ci, fi), (cj, fj) = m.source, m.target
-        (vertex, dart, _), (vertex2, dart2, _), vmap = ids[ci], ids[cj], m.vertex_map
-        face = gc.polytopes[ci].faces[fi]
+        (_, ends, sides), dart2, vmap = tables[ci], tables[cj][0], m.vertex_map
         dart_pairs = []
-        for k, v in enumerate(face):
-            w = face[k + 1 - len(face)]
-            dart_pairs.append((dart[v, w], dart2[vmap[v], vmap[w]]))
-            dart_pairs.append((dart[w, v], dart2[vmap[w], vmap[v]]))
-        vertex_pairs = [(vertex[v], vertex2[w]) for v, w in vmap.items()]
+        for d in sides[fi]:
+            v, w = ends[d]
+            d2 = dart2[vmap[v], vmap[w]]
+            dart_pairs += ((d, d2), (d ^ 1, d2 ^ 1))
+        vertex_of, vertex2_of = gc.polytopes[ci].vertex_index, gc.polytopes[cj].vertex_index
+        vertex_pairs = [(vertex_of(v), vertex2_of(w)) for v, w in vmap.items()]
         identifications.append(
             (voff[ci], voff[cj], doff[ci], doff[cj], vertex_pairs, dart_pairs)
         )
-    glued = {slot for m in usable_matches for slot in (m.source, m.target)}
+    glued = {slot for m, _ in turns for slot in (m.source, m.target)}
     loose = [
-        voff[ci] + ids[ci][0][v]
+        dart_tail[doff[ci] + d]
         for ci, fi in slots
         if (ci, fi) not in glued
-        for v in gc.polytopes[ci].faces[fi]
+        for d in tables[ci][2][fi]
     ]
     quotient_vertices, quotient_edges, cells, invalid = quotient_cells(
-        [x for _, _, sides_at in ids for x in sides_at],
-        [voff[ci] + vertex[u] for ci, (vertex, dart, _) in enumerate(ids) for u, _ in dart],
-        [doff[ci] + dart[w, u] for ci, (_, dart, _) in enumerate(ids) for u, w in dart],
+        sides_at,
+        dart_tail,
+        [d ^ 1 for d in range(len(dart_tail))],
         identifications,
         loose,
         loose,
@@ -631,26 +600,26 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
         rep = (ci, gc.polytopes[ci].vertices[v - voff[ci]])
         links.append(VertexLinkReport(rep, disks, euler_link, True, link_closed))
 
-    # orientability with the given copy signs
+    # orientability with the given copy signs: a match must reverse the
+    # induced boundary orientation, and keeps it iff turn * s(src) == s(tgt)
     orientable = True
     try:
-        orientations = _copy_orientations(gc)
+        orientations = _once_each(_face_signs, tables)
     except ValueError as exc:
         problems.append(f"copy boundary not orientable: {exc}")
         orientable = False
     else:
-        bad = [
-            m.name
-            for m in usable_matches
-            if not match_is_orientation_reversing(gc, m, orientations)
-        ]
+        def sign(slot: Slot) -> int:
+            return orientations[slot[0]][slot[1]] * gc.signs[slot[0]]
+
+        bad = [m.name for m, turn in turns if turn * sign(m.source) == sign(m.target)]
         if bad:
             orientable = False
             problems.append(f"orientation-incompatible matches: {bad}")
 
     for d in invalid:
         ci = bisect_right(doff, d) - 1
-        u, w = list(ids[ci][1])[d - doff[ci]]
+        u, w = tables[ci][1][d - doff[ci]]
         problems.append(f"edge {u}-{w} of copy {ci} is glued to itself in reverse")
 
     return ManifoldReport(

@@ -2,7 +2,9 @@
 
 Both families are encoded purely combinatorially: a polytope is a list of
 faces, each face a cyclic sequence of vertex labels.  Edges and adjacencies
-are derived from consecutive pairs in those cycles.
+are derived from consecutive pairs in those cycles.  dart_table numbers the
+directed edges (darts), dart d reversing to d ^ 1; boundary_orientation and
+the manifold verifier of the gluing module both read that one numbering.
 
 Lobell family R(n), n >= 5.  A right-angled "drum": two n-gonal bases and a
 belt of 2n pentagons arranged in two interleaved rings.  R(5) is the regular
@@ -270,6 +272,28 @@ def validate_polytope(p: CombinatorialPolytope, family: Optional[str] = None) ->
     return PolytopeReport(checks)
 
 
+def dart_table(
+    p: CombinatorialPolytope,
+) -> tuple[dict[tuple[str, str], int], list[tuple[str, str]], list[list[int]]]:
+    """(ids, ends, sides): ids maps (tail, head) to its dart, ends[d] is the
+    (tail, head) of dart d, and sides[f] lists face f's darts in cycle order.
+    Darts are numbered in order of first appearance on the face cycles, dart
+    d reversing to d ^ 1; a loop (v, v) takes the odd id of its pair."""
+    ids, ends, sides = {}, [], []
+    for face in p.faces:
+        darts = []
+        for k, v in enumerate(face):
+            w = face[k + 1 - len(face)]
+            if (v, w) not in ids:
+                ids[v, w] = len(ends)
+                ends.append((v, w))
+                ids[w, v] = len(ends)
+                ends.append((w, v))
+            darts.append(ids[v, w])
+        sides.append(darts)
+    return ids, ends, sides
+
+
 def boundary_orientation(p: CombinatorialPolytope) -> list[int]:
     """Coherent orientation of the boundary sphere.
 
@@ -277,32 +301,34 @@ def boundary_orientation(p: CombinatorialPolytope) -> list[int]:
     such that every edge is traversed once in each direction by its two
     incident faces.  Raises ValueError if no coherent choice exists.
     """
-    directed: list[dict[frozenset[str], tuple[str, str]]] = []
-    for fi, cyc in enumerate(p.faces):
-        d = {}
-        for k in range(len(cyc)):
-            u, w = cyc[k], cyc[(k + 1) % len(cyc)]
-            d[frozenset((u, w))] = (u, w)
-        directed.append(d)
+    return _face_signs(dart_table(p))
 
-    ef = p.edge_faces()
-    signs: list[int] = [0] * len(p.faces)
-    for start in range(len(p.faces)):
+
+def _face_signs(table) -> list[int]:
+    """boundary_orientation on the dart table of the polytope."""
+    _, ends, sides = table
+    runs: list[list[int]] = [[] for _ in ends]  # the faces running along each dart
+    for fi, darts in enumerate(sides):
+        for d in darts:
+            runs[d].append(fi)
+
+    signs = [0] * len(sides)
+    for start in range(len(sides)):
         if signs[start]:
             continue
         signs[start] = 1
         stack = [start]
         while stack:
             fi = stack.pop()
-            for e, (u, w) in directed[fi].items():
-                incident = ef.get(e, [])
-                if len(incident) != 2:
-                    raise ValueError(f"edge {tuple(sorted(e))} not shared by two faces")
-                gi = incident[0] if incident[1] == fi else incident[1]
-                # face fi traverses e as (u, w) under sign +1; the neighbor
-                # must traverse it as (w, u)
-                gu, gw = directed[gi][e]
-                need = 1 if (gu, gw) == ((w, u) if signs[fi] == 1 else (u, w)) else -1
+            for d in sides[fi]:
+                along, against = runs[d], runs[d ^ 1]
+                if len(along) + len(against) != 2:
+                    raise ValueError(f"edge {tuple(sorted(set(ends[d])))} not shared by two faces")
+                # the face across keeps its cycle if it runs against fi's
+                if against:
+                    gi, need = against[0], signs[fi]
+                else:
+                    gi, need = along[0] if along[1] == fi else along[1], -signs[fi]
                 if signs[gi] == 0:
                     signs[gi] = need
                     stack.append(gi)

@@ -45,7 +45,7 @@ from .gluing import (
     Slot,
     StructureError,
     VertexLinkReport,
-    _match_structure_problem,
+    _match_turn,
     assemble_fibonacci,
     assemble_lobell,
     quotient_cells,
@@ -199,9 +199,7 @@ def triangulate(gc: GluedComplex, apex: Optional[str] = None) -> Triangulation:
     # (b), which takes that fan unless b is fanned from the cone vertex itself
     carried = []
     for m in gc.pairing.matches:
-        problem = _match_structure_problem(gc, m)
-        if problem:
-            raise StructureError(problem)
+        _match_turn(gc, m)  # raises StructureError on a malformed match
         a, b, vmap = m.source, m.target, m.vertex_map
         if through[b[0]][b[1]] and not through[a[0]][a[1]]:
             a, b, vmap = b, a, m.inverse_map()

@@ -162,12 +162,23 @@ class VolumeResult:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
+# the volume stays below 16 n, so it cannot overflow while n is at most
+# 2^1020, about a sixteenth of the largest float
+_N_MAX = 2**1020
+
+
+def _pi_over(n: int) -> float:
+    if n > _N_MAX:
+        raise ValueError("n is too large for a floating-point volume")
+    return math.pi / n
+
+
 def theta(n: int) -> float:
     """Dihedral-angle parameter of the Lobell volume formula; decreases
     strictly to pi/6 as n grows."""
     if n < 5:
         raise ValueError("Andreev condition fails below n=5")
-    return _HALF_PI - math.acos(1.0 / (2.0 * math.cos(math.pi / n)))
+    return _HALF_PI - math.acos(1.0 / (2.0 * math.cos(_pi_over(n))))
 
 
 def lobell_volume(n: int) -> VolumeResult:
@@ -188,7 +199,7 @@ def fibonacci_parameters(n: int) -> tuple[float, float]:
     """The angle pair (a, b) of the Fibonacci volume formula."""
     if n < 4:
         raise ValueError("capped antiprism needs n >= 4")
-    b = math.pi / n
+    b = _pi_over(n)
     a = 0.5 * math.acos(math.cos(2.0 * b) - 0.5)
     return a, b
 

@@ -13,9 +13,13 @@ library so that agreement is evidence, not tautology:
   its own adjacency and rank computations;
 * enumerate_colorings is the library's coloring search as it was before
   forward checking: plain backtracking with validate_coloring at each leaf;
+* boundary_orientation and match_is_orientation_reversing are the
+  library's orientation path as it was before the dart table, walking
+  edges keyed by frozensets and comparing rotated vertex cycles;
 * verify_triangulation and verify_closed_manifold are the library's
   verifiers as they were before the integer-id core, with one union-find
-  per kind of cell keyed by tuples and frozensets;
+  per kind of cell keyed by tuples and frozensets, and orientability read
+  from that old orientation path;
 * triangulate_lobell and triangulate_fibonacci are the library's two
   bespoke triangulators as they were before the one triangulate, with
   their family-specific wall and slot bookkeeping.
@@ -38,13 +42,12 @@ from lobfib.coloring import (
     validate_coloring,
 )
 from lobfib.gluing import (
+    FaceMatch,
     GluedComplex,
     ManifoldReport,
+    Slot,
     VertexLinkReport,
-    _copy_orientations,
-    _match_structure_problem,
     fibonacci_pairing,
-    match_is_orientation_reversing,
 )
 from lobfib.polytope import (
     CombinatorialPolytope,
@@ -144,8 +147,11 @@ def coloring_count_oracle(polytope) -> int:
     """Number of valid colorings, counted by an independent brute force.
 
     Adjacency is recomputed from shared vertex pairs, faces are assigned in
-    reverse index order, and validity (properness, rank-3 triples at every
-    vertex, rank-3 image) is checked with local bit arithmetic.
+    reverse index order, and validity is checked with local bit arithmetic:
+    faces sharing two vertices differ, the colors of the faces at every
+    vertex are independent (a face counted as often as its cycle passes the
+    vertex, so a vertex on four or more faces always fails, and a vertex on
+    no face passes), and the colors used have rank 3.
     """
     faces = [set(face) for face in polytope.faces]
     count_faces = len(faces)
@@ -156,7 +162,7 @@ def coloring_count_oracle(polytope) -> int:
                 adjacent[i][j] = adjacent[j][i] = True
 
     at_vertex: dict[str, list[int]] = {}
-    for fi, face in enumerate(faces):
+    for fi, face in enumerate(polytope.faces):
         for v in face:
             at_vertex.setdefault(v, []).append(fi)
 
@@ -166,7 +172,7 @@ def coloring_count_oracle(polytope) -> int:
 
     def valid_leaf() -> bool:
         for incident in at_vertex.values():
-            if len(incident) == 3 and _rank3(assignment[f] for f in incident) != 3:
+            if _rank3(assignment[f] for f in incident) != len(incident):
                 return False
         return _rank3(set(assignment)) == 3
 
@@ -249,6 +255,112 @@ def enumerate_colorings(
             if not chosen:
                 return results
             ci = chosen.pop() + 1
+
+
+# ---------------------------------------------------------------------------
+# the frozenset-keyed orientation path
+# ---------------------------------------------------------------------------
+# boundary_orientation and the per-match structure and orientation checks as
+# they stood before lobfib read orientability from the dart table, kept
+# verbatim (edges keyed by frozensets, one rotation test per question) so
+# that tests/test_verifier_core.py can require identical signs and reports.
+
+
+def boundary_orientation(p: CombinatorialPolytope) -> list[int]:
+    """Coherent orientation of the boundary sphere.
+
+    Returns one sign per face: +1 keeps the stored cycle, -1 reverses it,
+    such that every edge is traversed once in each direction by its two
+    incident faces.  Raises ValueError if no coherent choice exists.
+    """
+    directed: list[dict[frozenset[str], tuple[str, str]]] = []
+    for fi, cyc in enumerate(p.faces):
+        d = {}
+        for k in range(len(cyc)):
+            u, w = cyc[k], cyc[(k + 1) % len(cyc)]
+            d[frozenset((u, w))] = (u, w)
+        directed.append(d)
+
+    ef = p.edge_faces()
+    signs: list[int] = [0] * len(p.faces)
+    for start in range(len(p.faces)):
+        if signs[start]:
+            continue
+        signs[start] = 1
+        stack = [start]
+        while stack:
+            fi = stack.pop()
+            for e, (u, w) in directed[fi].items():
+                incident = ef.get(e, [])
+                if len(incident) != 2:
+                    raise ValueError(f"edge {tuple(sorted(e))} not shared by two faces")
+                gi = incident[0] if incident[1] == fi else incident[1]
+                # face fi traverses e as (u, w) under sign +1; the neighbor
+                # must traverse it as (w, u)
+                gu, gw = directed[gi][e]
+                need = 1 if (gu, gw) == ((w, u) if signs[fi] == 1 else (u, w)) else -1
+                if signs[gi] == 0:
+                    signs[gi] = need
+                    stack.append(gi)
+                elif signs[gi] != need:
+                    raise ValueError("boundary surface is not orientable")
+    return signs
+
+
+def _is_rotation(seq: list, target: list) -> bool:
+    if len(seq) != len(target):
+        return False
+    if not seq:
+        return True
+    doubled = target + target
+    return any(doubled[k : k + len(seq)] == seq for k in range(len(target)))
+
+
+def _match_structure_problem(gc: GluedComplex, m: FaceMatch) -> Optional[str]:
+    (ci, fi), (cj, fj) = m.source, m.target
+    try:
+        src = gc.polytopes[ci].faces[fi]
+        tgt = gc.polytopes[cj].faces[fj]
+    except IndexError:
+        return f"match {m.name} references a missing face slot"
+    if set(m.vertex_map.keys()) != set(src) or set(m.vertex_map.values()) != set(tgt):
+        return f"match {m.name} is not a vertex bijection between its two faces"
+    image = [m.vertex_map[v] for v in src]
+    if not (_is_rotation(image, list(tgt)) or _is_rotation(image, list(reversed(tgt)))):
+        return f"match {m.name} does not respect the cyclic edge structure"
+    return None
+
+
+def _oriented_cycle(gc, orientations, slot: Slot) -> list[str]:
+    ci, fi = slot
+    cyc = list(gc.polytopes[ci].faces[fi])
+    if orientations[ci][fi] * gc.signs[ci] == -1:
+        cyc.reverse()
+    return cyc
+
+
+def match_is_orientation_reversing(gc: GluedComplex, m: FaceMatch, orientations=None) -> bool:
+    """Whether a match reverses the induced boundary orientation, taking the
+    copies' orientation signs into account."""
+    if orientations is None:
+        orientations = _copy_orientations(gc)
+    src = _oriented_cycle(gc, orientations, m.source)
+    tgt = _oriented_cycle(gc, orientations, m.target)
+    image = [m.vertex_map[v] for v in src]
+    return _is_rotation(image, list(reversed(tgt)))
+
+
+def _per_polytope(gc: GluedComplex, build) -> list:
+    """build(p) for every copy, called once per polytope object."""
+    cache: dict[int, object] = {}
+    for p in gc.polytopes:
+        if id(p) not in cache:
+            cache[id(p)] = build(p)
+    return [cache[id(p)] for p in gc.polytopes]
+
+
+def _copy_orientations(gc: GluedComplex) -> list[list[int]]:
+    return _per_polytope(gc, boundary_orientation)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,18 @@ class TestExitCodes:
         assert result.stderr.startswith("error: ")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("subcommand", ("volume", "bounds"))
+    @pytest.mark.parametrize("family", ("lobell", "fibonacci"))
+    @pytest.mark.parametrize("n", (str(10**400), str(10**308)), ids=("400-digits", "1e308"))
+    def test_n_beyond_float_range_exits_1(self, subcommand, family, n):
+        """Past the float range pi/n cannot be formed, and at 1e308 the
+        volume itself overflows to infinity."""
+        result = run(subcommand, "--family", family, "--n", n)
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == "error: n is too large for a floating-point volume\n", (
+            result.stderr[-300:]
+        )
+
     def test_missing_triangulation_file_exits_1(self, tmp_path):
         result = run("verify", "--file", str(tmp_path / "nope.json"))
         assert result.returncode == 1 and result.stderr.startswith("error: ")
@@ -255,6 +267,33 @@ class TestExitCodes:
         coloring.write_text(json.dumps(doc))
         result = run(
             "triangulate", "--family", "lobell", "--n", "5", "--color", f"file:{coloring}",
+            "--format", "text",
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == message
+
+    @pytest.mark.parametrize(
+        "key, color, message",
+        (
+            ("014", "beta", "error: face 14 is given twice\n"),
+            (" 14", "beta", "error: face 14 is given twice\n"),
+            ("+14", "beta", "error: face 14 is given twice\n"),
+            ("14", None, "error: face 14 is given twice\n"),
+        ),
+        ids=("leading-zero", "leading-space", "plus-sign", "repeated-key"),
+    )
+    def test_coloring_file_giving_a_face_twice_exits_1(self, tmp_path, key, color, message):
+        """A second entry for face 14, in any spelling and even with the same
+        color, is refused rather than silently overriding the first."""
+        coloring = tmp_path / "c6.json"
+        colored = run("color", "--family", "lobell", "--n", "6", "--out", str(coloring))
+        assert colored.returncode == 0, colored.stderr
+        colors = json.loads(coloring.read_text())["colors"]
+        entries = [f'"{k}": "{v}"' for k, v in colors.items()]
+        entries.append(f'"{key}": "{color or colors["14"]}"')
+        coloring.write_text('{"n": 6, "colors": {' + ", ".join(entries) + "}}")
+        result = run(
+            "triangulate", "--family", "lobell", "--n", "6", "--color", f"file:{coloring}",
             "--format", "text",
         )
         assert result.returncode == 1 and result.stdout == ""

@@ -20,7 +20,6 @@ from lobfib.coloring import (
     enumerate_colorings,
     group_index,
     known_lobell6_coloring,
-    lobell_reflection_commutator_pairs,
     presentation_F2,
     presentation_G,
     validate_coloring,
@@ -138,6 +137,12 @@ class TestEnumeration:
         assert len(enumerate_colorings(p)) == coloring_count_oracle(p), (
             "library enumeration and independent brute force must agree"
         )
+
+    def test_square_pyramid_count_matches_bruteforce(self):
+        """The square pyramid's apex lies on four faces, whose colors are
+        never independent, so neither side may count a coloring of it."""
+        p = _square_pyramid()
+        assert coloring_count_oracle(p) == len(enumerate_colorings(p)) == 0
 
     def test_limit_semantics(self):
         p = build_lobell_polytope(6)
@@ -342,7 +347,12 @@ class TestPresentations:
             for pair in p.adjacent_face_pairs()
             for x, y in [tuple(pair)]
         }
-        assert lobell_reflection_commutator_pairs(n) == adjacency, (
+        commutator_pairs = {
+            frozenset((int(w[0][0][1:]), int(w[1][0][1:])))
+            for w in presentation_G(n).relators
+            if len(w) == 4
+        }
+        assert commutator_pairs == adjacency, (
             f"commutator pairs of G({n}) must equal the face adjacencies of R({n})"
         )
 

@@ -8,9 +8,11 @@ import pytest
 from lobfib.polytope import (
     FIBONACCI,
     LOBELL,
+    CombinatorialPolytope,
     boundary_orientation,
     build_fibonacci_polytope,
     build_lobell_polytope,
+    dart_table,
     validate_polytope,
 )
 
@@ -165,6 +167,33 @@ class TestEdgesAndOrientation:
         assert all((v, u) in directed for (u, v) in directed), (
             "each edge must be traversed once in each direction"
         )
+
+
+class TestDartTable:
+    """Darts are numbered in order of first appearance on the face cycles,
+    dart d reversing to d ^ 1, and each face lists its darts in cycle order."""
+
+    @pytest.mark.parametrize(
+        "p", [build_lobell_polytope(6), build_fibonacci_polytope(5)], ids=["R(6)", "Y(5)"]
+    )
+    def test_numbering(self, p):
+        ids, ends, sides = dart_table(p)
+        assert len(ends) == 2 * len(p.edges())
+        for d, (v, w) in enumerate(ends):
+            assert ids[v, w] == d and ends[d ^ 1] == (w, v)
+        edges_seen: list[int] = []
+        for face, darts in zip(p.faces, sides):
+            cycle = [(v, face[(k + 1) % len(face)]) for k, v in enumerate(face)]
+            assert [ends[d] for d in darts] == cycle
+            edges_seen += [d >> 1 for d in darts if d >> 1 not in edges_seen]
+        assert edges_seen == list(range(len(ends) // 2))
+
+    def test_face_folded_along_its_edges_is_orientable(self):
+        """The face a-b-c-b runs along edges ab and bc once each way, so it
+        closes up into a sphere on its own.  (The frozenset-keyed walk this
+        replaced called any face meeting itself along an edge non-orientable.)"""
+        p = CombinatorialPolytope(None, None, ["a", "b", "c"], [("a", "b", "c", "b")], {})
+        assert boundary_orientation(p) == [1]
 
 
 class TestSerialization:

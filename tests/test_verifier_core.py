@@ -1,8 +1,10 @@
 """Differential gate for the integer-id verifier core: verify_triangulation
 and verify_closed_manifold must give the same report as the dict-keyed
 verifiers kept in oracles.py, on the suite's triangulations and complexes,
-on every hand-broken input of test_triangulation.py and test_gluing.py, and
-on random gluings of one to three tetrahedra.
+on every hand-broken input of test_triangulation.py and test_gluing.py, on
+complexes whose copies or matches break orientability, and on random
+gluings of one to three tetrahedra.  boundary_orientation, read from the
+dart table, must give the signs and errors of the frozenset-keyed one.
 
 The one difference allowed is the two kinds of problem line the old code
 did not write, naming an edge glued to itself in reverse or a face glued to
@@ -26,6 +28,7 @@ from lobfib.gluing import (
 )
 from lobfib.polytope import (
     CombinatorialPolytope,
+    boundary_orientation,
     build_fibonacci_polytope,
     build_lobell_polytope,
 )
@@ -182,6 +185,68 @@ def folded_tetrahedron():
     ]))
 
 
+def hemicube():
+    """K4 drawn as three quadrilaterals: a boundary that is a projective
+    plane, so no signs orient it."""
+    return CombinatorialPolytope(
+        None, None, ["a", "b", "c", "d"],
+        [("a", "b", "c", "d"), ("a", "b", "d", "c"), ("a", "c", "b", "d")], {},
+    )
+
+
+def tetrahedron_with_a_fin():
+    """A tetrahedron with a fifth face on edge ab, which then lies on three
+    faces."""
+    return CombinatorialPolytope(
+        None, None, ["a", "b", "c", "d", "e"],
+        [("a", "b", "c"), ("a", "c", "d"), ("a", "d", "b"), ("b", "d", "c"),
+         ("a", "b", "e")], {},
+    )
+
+
+def doubled(p, q, signs):
+    """Copies p and q, face i of the one glued to face i of the other by
+    the identity."""
+    return GluedComplex([p, q], signs, FacePairing([
+        FaceMatch(f"d{fi}", (0, fi), (1, fi), {v: v for v in face})
+        for fi, face in enumerate(p.faces)
+    ]))
+
+
+def doubled_hemicube():
+    return doubled(hemicube(), hemicube(), [1, -1])
+
+
+def doubled_tetrahedron_with_a_fin():
+    p = tetrahedron_with_a_fin()
+    return doubled(p, p, [1, -1])
+
+
+def y5_with_a_reflected_match():
+    """s1 composed with the reflection of its target face that fixes P4."""
+    gc = assemble_fibonacci(5)
+    vmap = gc.pairing.matches[0].vertex_map
+    vmap["P2"], vmap["P4"] = vmap["P4"], vmap["P2"]
+    return gc
+
+
+def reversed_y4(signs):
+    """Y(4) glued to a copy of itself with every face listed in reverse."""
+    p = build_fibonacci_polytope(4)
+    q = CombinatorialPolytope(
+        p.family, p.n, p.vertices, [face[::-1] for face in p.faces], p.face_labels
+    )
+    return doubled(p, q, signs)
+
+
+def reversed_y4_opposite_signs():
+    return reversed_y4([1, -1])
+
+
+def reversed_y4_equal_signs():
+    return reversed_y4([1, 1])
+
+
 @pytest.mark.parametrize(
     "build",
     (
@@ -190,11 +255,67 @@ def folded_tetrahedron():
         all_signs_flipped,
         one_sign_flipped,
         folded_tetrahedron,
+        doubled_hemicube,
+        doubled_tetrahedron_with_a_fin,
+        y5_with_a_reflected_match,
+        reversed_y4_opposite_signs,
+        reversed_y4_equal_signs,
     ),
 )
 def test_broken_complexes(build):
     gc = build()
     assert_same_report(verify_closed_manifold(gc), oracles.verify_closed_manifold(gc))
+
+
+@pytest.mark.parametrize(
+    "build, problem",
+    (
+        (doubled_hemicube, "copy boundary not orientable: boundary surface is not orientable"),
+        (doubled_tetrahedron_with_a_fin,
+         "copy boundary not orientable: edge ('a', 'b') not shared by two faces"),
+        (y5_with_a_reflected_match, "orientation-incompatible matches: ['s1']"),
+        (reversed_y4_opposite_signs,
+         f"orientation-incompatible matches: {[f'd{fi}' for fi in range(16)]}"),
+    ),
+    ids=("hemicube", "fin", "reflected_match", "reversed_y4"),
+)
+def test_orientation_failures_are_named(build, problem):
+    report = verify_closed_manifold(build())
+    assert not report.orientable and problem in report.problems
+
+
+def test_reversed_copy_under_equal_signs_is_orientable():
+    report = verify_closed_manifold(reversed_y4_equal_signs())
+    assert report.orientable and report.ok
+
+
+class TestBoundaryOrientation:
+    """Face signs and errors from the dart table equal those of the
+    frozenset-keyed walk in oracles.py."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [build_lobell_polytope(n) for n in range(5, 13)]
+        + [build_fibonacci_polytope(n) for n in range(4, 17)],
+        ids=[f"R({n})" for n in range(5, 13)] + [f"Y({n})" for n in range(4, 17)],
+    )
+    def test_same_signs(self, p):
+        assert boundary_orientation(p) == oracles.boundary_orientation(p)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        (
+            (hemicube, "boundary surface is not orientable"),
+            (tetrahedron_with_a_fin, "edge ('a', 'b') not shared by two faces"),
+        ),
+    )
+    def test_same_errors(self, build, message):
+        p = build()
+        with pytest.raises(ValueError) as old:
+            oracles.boundary_orientation(p)
+        with pytest.raises(ValueError) as new:
+            boundary_orientation(p)
+        assert str(new.value) == str(old.value) == message
 
 
 def test_complex_names_edges_glued_to_themselves_in_reverse():
