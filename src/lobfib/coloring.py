@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .polytope import CombinatorialPolytope
+from .polytope import CheckReport, CombinatorialPolytope
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ class FaceColoring:
         if "n" not in doc or "colors" not in doc:
             raise ValueError("coloring document needs fields 'n' and 'colors'")
         n = doc["n"]
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError("coloring field 'n' must be an integer")
         if not isinstance(doc["colors"], tuple):
             raise ValueError("coloring field 'colors' must map face labels to color names")
@@ -141,21 +141,6 @@ class FaceColoring:
         return FaceColoring(n, colors)
 
 
-@dataclass
-class ColoringReport:
-    """Outcome of validate_coloring, one row per condition."""
-
-    checks: list[tuple[str, bool, str]]
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
-
-    def __repr__(self) -> str:
-        rows = ", ".join(f"{name}={'ok' if passed else 'FAIL'}" for name, passed, _ in self.checks)
-        return f"<ColoringReport {rows}>"
-
-
 def _label_by_index(p: CombinatorialPolytope) -> dict[int, int]:
     """face index -> integer face label (labels of R(n) are '1'..'2n+2')."""
     return {fi: int(lab) for lab, fi in p.face_labels.items()}
@@ -171,7 +156,7 @@ def _faces_at_vertex(p: CombinatorialPolytope) -> dict[str, list[int]]:
     return at_vertex
 
 
-def validate_coloring(p: CombinatorialPolytope, c: FaceColoring) -> ColoringReport:
+def validate_coloring(p: CombinatorialPolytope, c: FaceColoring) -> CheckReport:
     """Check the four validity conditions of a coloring of p.
 
     total:              the colored labels are exactly the face labels of p
@@ -190,7 +175,7 @@ def validate_coloring(p: CombinatorialPolytope, c: FaceColoring) -> ColoringRepo
         ("total", total, f"colored labels must be the faces: missing {missing}, extra {extra}")
     )
     if not total:
-        return ColoringReport(checks)
+        return CheckReport(checks)
 
     improper = []
     for pair in p.adjacent_face_pairs():
@@ -211,7 +196,7 @@ def validate_coloring(p: CombinatorialPolytope, c: FaceColoring) -> ColoringRepo
     checks.append(
         ("surjective", z2_rank(used) == 3, f"colors used span rank {z2_rank(used)} != 3")
     )
-    return ColoringReport(checks)
+    return CheckReport(checks)
 
 
 # rank over Z/2 of the set of COLORS whose indices are the set bits of a mask

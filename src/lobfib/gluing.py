@@ -3,10 +3,11 @@
 A GluedComplex is a finite list of polytope copies plus a face pairing: a
 fixed-point-free involution on the boundary faces of the copies, each match
 carrying a vertex bijection between the two faces.  The quotient space is a
-closed 3-manifold exactly when every face is matched, the Euler
-characteristic of the quotient cell structure vanishes, and the link of
-every quotient vertex is a 2-sphere; it is orientable when the copies can be
-oriented so that every match reverses the induced boundary orientation.
+closed connected 3-manifold exactly when the matches join the copies into
+one component, every face is matched, the Euler characteristic of the
+quotient cell structure vanishes, and the link of every quotient vertex is a
+2-sphere; it is orientable when the copies can be oriented so that every
+match reverses the induced boundary orientation.
 verify_closed_manifold checks all of that and reports per-item results,
 naming every edge glued to itself in reverse.  It shares its core,
 quotient_cells, with verify_triangulation: flat-list union-finds over
@@ -38,9 +39,11 @@ which identifies the edges in cycles of length 3, for example
     Q P(i+1) --s_i--> P(i+2) P(i+3) --s_(i-1)^-1--> P_i P(i+2)
              --s_(i-2)^-1--> Q P(i+1)          (i odd; R for even i).
 
-Edge-cycle traversal is deterministic: it starts at the lexicographically
-least (copy, edge) of each class and leaves the starting edge through its
-smaller-indexed incident face.
+edge_cycles walks the same dart tables: each edge of a copy is its even dart
+d (edge d >> 1), the faces on it are those running along d or d ^ 1, and a
+match carries the dart (u, v) to the dart of its image pair.  The traversal
+is deterministic: it starts each class at its least (copy, sorted vertex
+indices) and leaves the starting edge through its smaller-indexed face.
 """
 
 from __future__ import annotations
@@ -53,12 +56,16 @@ from .coloring import (
     GROUP8,
     FaceColoring,
     Z2Vector3,
+    _label_by_index,
     group_index,
     validate_coloring,
 )
 from .polytope import (
     CombinatorialPolytope,
+    _components,
     _face_signs,
+    _faces_along,
+    _root,
     build_fibonacci_polytope,
     build_lobell_polytope,
     dart_table,
@@ -179,11 +186,10 @@ def assemble_lobell(c: FaceColoring) -> GluedComplex:
     p = build_lobell_polytope(c.n)
     report = validate_coloring(p, c)
     if not report.ok:
-        bad = [name for name, passed, _ in report.checks if not passed]
         detail = "; ".join(d for _, passed, d in report.checks if not passed)
-        raise ValueError(f"coloring of R({c.n}) is not valid: fails {bad} ({detail})")
+        raise ValueError(f"coloring of R({c.n}) is not valid: fails {report.failed()} ({detail})")
 
-    label_of = {fi: int(lab) for lab, fi in p.face_labels.items()}
+    label_of = _label_by_index(p)
     matches: list[FaceMatch] = []
     for fi, face in enumerate(p.faces):
         color = c.colors[label_of[fi]]
@@ -243,41 +249,37 @@ class EdgeCycle:
         return len(self.edges)
 
 
-def _edge_key(p: CombinatorialPolytope, e: frozenset[str]) -> tuple[int, int]:
-    i, j = sorted(p.vertex_index(v) for v in e)
-    return (i, j)
-
-
 def edge_cycles(gc: GluedComplex) -> list[EdgeCycle]:
     """All quotient edge classes of the complex.
 
     Raises StructureError when a vertex bijection fails to carry an edge to
     an edge or when a cycle closes with its endpoints exchanged.
     """
-    edge_faces = [p.edge_faces() for p in gc.polytopes]
-    order: list[tuple[int, tuple[int, int], frozenset[str]]] = []
-    for ci, p in enumerate(gc.polytopes):
-        for e in edge_faces[ci]:
-            order.append((ci, _edge_key(p, e), e))
-    order.sort(key=lambda t: (t[0], t[1]))
+    tables = _once_each(dart_table, gc.polytopes)
+    runs = _once_each(_faces_along, tables)
+    order = []  # (copy, sorted vertex indices, even dart) per edge of each copy
+    for ci, (p, (_, ends, _)) in enumerate(zip(gc.polytopes, tables)):
+        for d in range(0, len(ends), 2):
+            order.append((ci, sorted(map(p.vertex_index, ends[d])), d))
+    order.sort()
 
-    visited: set[tuple[int, frozenset[str]]] = set()
+    visited: set[tuple[int, int]] = set()  # (copy, even dart)
     cycles: list[EdgeCycle] = []
     budget = len(order) + 1
 
-    for ci0, _, e0 in order:
-        if (ci0, e0) in visited:
+    for ci0, _, d0 in order:
+        if (ci0, d0) in visited:
             continue
-        p0 = gc.polytopes[ci0]
-        incident = edge_faces[ci0][e0]
+        incident = runs[ci0][d0] + runs[ci0][d0 + 1]
         if len(incident) != 2 or incident[0] == incident[1]:
             raise StructureError(
-                f"edge {tuple(sorted(e0))} of copy {ci0} lies in {len(incident)} faces"
+                f"edge {tuple(sorted(tables[ci0][1][d0]))} of copy {ci0} "
+                f"lies in {len(incident)} faces"
             )
-        u0, v0 = sorted(e0, key=p0.vertex_index)
+        u0, v0 = sorted(tables[ci0][1][d0], key=gc.polytopes[ci0].vertex_index)
         edges = [(ci0, (u0, v0))]
         maps: list[tuple[str, int]] = []
-        visited.add((ci0, e0))
+        visited.add((ci0, d0))
 
         ci, u, v = ci0, u0, v0
         leave_face = min(incident)
@@ -294,31 +296,32 @@ def edge_cycles(gc: GluedComplex) -> list[EdgeCycle]:
                 raise StructureError(
                     f"match {name} has no image for vertex {missing} of face slot {slot}"
                 ) from None
-            e2 = frozenset((u2, v2))
-            faces2 = edge_faces[cj].get(e2)
-            if faces2 is None or fj not in faces2:
+            d2 = tables[cj][0].get((u2, v2))
+            faces2 = [] if d2 is None else runs[cj][d2] + runs[cj][d2 ^ 1]
+            if fj not in faces2:
                 raise StructureError(
                     f"match {name} does not carry edge {(u, v)} to an edge of face {fj}"
                 )
             maps.append((name, direction))
-            if (cj, e2) == (ci0, e0):
+            key = (cj, d2 & ~1)
+            if key == (ci0, d0):
                 if (u2, v2) != (u0, v0):
                     raise StructureError(
                         f"edge cycle through {edges[0]} closes with endpoints "
                         f"exchanged: {(u2, v2)} != {(u0, v0)}"
                     )
                 break
-            if (cj, e2) in visited:
+            if key in visited:
                 raise StructureError(
-                    f"edge cycle through {edges[0]} re-enters {(cj, tuple(sorted(e2)))} "
+                    f"edge cycle through {edges[0]} re-enters {(cj, tuple(sorted((u2, v2))))} "
                     "before closing"
                 )
-            visited.add((cj, e2))
+            visited.add(key)
             edges.append((cj, (u2, v2)))
             other = [f for f in faces2 if f != fj]
             if len(faces2) != 2 or not other:
                 raise StructureError(
-                    f"edge {tuple(sorted(e2))} of copy {cj} lies in {len(faces2)} faces"
+                    f"edge {tuple(sorted((u2, v2)))} of copy {cj} lies in {len(faces2)} faces"
                 )
             ci, u, v = cj, u2, v2
             leave_face = other[0]
@@ -331,13 +334,6 @@ def edge_cycles(gc: GluedComplex) -> list[EdgeCycle]:
 # ---------------------------------------------------------------------------
 # manifold verification
 # ---------------------------------------------------------------------------
-
-def _root(parent: list[int], x: int) -> int:
-    """Root of x in a flat-list union-find, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
 
 def quotient_cells(
     sides_at: list[int],
@@ -527,8 +523,18 @@ def _once_each(build, items) -> list:
     return [cache[id(x)] for x in items]
 
 
+def _component_problems(components: int) -> list[str]:
+    """The problem line of a quotient that is empty or falls into several
+    connected components: a verifier certifies one connected manifold."""
+    if components == 0:
+        return ["quotient is empty"]
+    if components > 1:
+        return [f"quotient is disconnected: {components} components"]
+    return []
+
+
 def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
-    """Check that the quotient of the complex is a closed orientable
+    """Check that the quotient of the complex is a closed connected orientable
     3-manifold; every condition is reported rather than raised."""
     problems: list[str] = []
 
@@ -616,6 +622,8 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
         if bad:
             orientable = False
             problems.append(f"orientation-incompatible matches: {bad}")
+    joined = [(m.source[0], m.target[0]) for m, _ in turns]
+    problems += _component_problems(_components(gc.copies, joined))
 
     for d in invalid:
         ci = bisect_right(doff, d) - 1

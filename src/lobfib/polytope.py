@@ -1,10 +1,12 @@
 """Combinatorial models of the two polytope families.
 
 Both families are encoded purely combinatorially: a polytope is a list of
-faces, each face a cyclic sequence of vertex labels.  Edges and adjacencies
-are derived from consecutive pairs in those cycles.  dart_table numbers the
-directed edges (darts), dart d reversing to d ^ 1; boundary_orientation and
-the manifold verifier of the gluing module both read that one numbering.
+faces, each face a cyclic sequence of vertex labels.  dart_table is the one
+edge structure derived from those cycles: it numbers the directed edges
+(darts) in order of first appearance, dart d reversing to d ^ 1 and lying on
+edge d >> 1.  The edge queries of CombinatorialPolytope, validate_polytope,
+boundary_orientation, and the edge cycles and manifold verifier of the
+gluing module all read that one numbering.
 
 Lobell family R(n), n >= 5.  A right-angled "drum": two n-gonal bases and a
 belt of 2n pentagons arranged in two interleaved rings.  R(5) is the regular
@@ -37,6 +39,7 @@ Y(5) is the regular icosahedron.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -74,32 +77,19 @@ class CombinatorialPolytope:
     def vertex_index(self, v: str) -> int:
         return self._vertex_index[v]
 
-    def face_cycle_edges(self, face_index: int) -> list[frozenset[str]]:
-        """Edges of one face, as unordered vertex pairs, in cycle order."""
-        cyc = self.faces[face_index]
-        return [frozenset((cyc[k], cyc[(k + 1) % len(cyc)])) for k in range(len(cyc))]
-
-    def edge_faces(self) -> dict[frozenset[str], list[int]]:
-        """Map each edge to the (multi)set of faces whose boundary uses it."""
-        out: dict[frozenset[str], list[int]] = {}
-        for fi in range(len(self.faces)):
-            for e in self.face_cycle_edges(fi):
-                out.setdefault(e, []).append(fi)
-        return out
-
     def edges(self) -> list[frozenset[str]]:
-        return list(self.edge_faces().keys())
+        """Edges as unordered vertex pairs, edge k being darts 2k and 2k + 1
+        of dart_table."""
+        return [frozenset(ends) for ends in dart_table(self)[1][::2]]
 
     def vertex_degree(self, v: str) -> int:
-        return sum(1 for e in self.edge_faces() if v in e)
+        return sum(v in ends for ends in dart_table(self)[1][::2])
 
     def adjacent_face_pairs(self) -> set[frozenset[int]]:
         """Unordered pairs of face indices sharing an edge."""
-        pairs: set[frozenset[int]] = set()
-        for incident in self.edge_faces().values():
-            if len(incident) == 2 and incident[0] != incident[1]:
-                pairs.add(frozenset(incident))
-        return pairs
+        runs = _faces_along(dart_table(self))
+        on_edges = (along + against for along, against in zip(runs[::2], runs[1::2]))
+        return {frozenset(fs) for fs in on_edges if len(fs) == 2 and fs[0] != fs[1]}
 
     # -- serialization ------------------------------------------------------
 
@@ -194,8 +184,9 @@ def build_fibonacci_polytope(n: int) -> CombinatorialPolytope:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PolytopeReport:
-    """Outcome of validate_polytope: one (name, passed, detail) row per check."""
+class CheckReport:
+    """Outcome of validate_polytope or validate_coloring: one (name, passed,
+    detail) row per check."""
 
     checks: list[tuple[str, bool, str]]
 
@@ -208,28 +199,27 @@ class PolytopeReport:
 
     def __repr__(self) -> str:
         rows = ", ".join(f"{name}={'ok' if passed else 'FAIL'}" for name, passed, _ in self.checks)
-        return f"<PolytopeReport {rows}>"
+        return f"<CheckReport {rows}>"
 
 
-def _connected(count: int, neighbor_pairs: Iterable[frozenset[int]]) -> bool:
-    if count == 0:
-        return True
-    adj: dict[int, set[int]] = {i: set() for i in range(count)}
-    for pair in neighbor_pairs:
-        x, y = tuple(pair)
-        adj[x].add(y)
-        adj[y].add(x)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == count
+def _root(parent: list[int], x: int) -> int:
+    """Root of x in a flat-list union-find, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
-def validate_polytope(p: CombinatorialPolytope, family: Optional[str] = None) -> PolytopeReport:
+def _components(count: int, pairs: Iterable[Iterable[int]]) -> int:
+    """Connected components of 0..count-1 joined by the pairs."""
+    parent = list(range(count))
+    for x, y in pairs:
+        x, y = _root(parent, x), _root(parent, y)
+        if x != y:
+            parent[y] = x
+    return sum(parent[x] == x for x in range(count))
+
+
+def validate_polytope(p: CombinatorialPolytope, family: Optional[str] = None) -> CheckReport:
     """Check the structural invariants of a polytope boundary.
 
     Generic checks: every face is a simple cycle, every edge lies in exactly
@@ -244,24 +234,23 @@ def validate_polytope(p: CombinatorialPolytope, family: Optional[str] = None) ->
     bad_faces = [fi for fi, f in enumerate(p.faces) if len(set(f)) != len(f) or len(f) < 3]
     checks.append(("faces_simple", not bad_faces, f"degenerate faces: {bad_faces}"))
 
-    ef = p.edge_faces()
-    bad_edges = {tuple(sorted(e)): len(fs) for e, fs in ef.items() if len(fs) != 2}
+    table = dart_table(p)
+    ends, runs = table[1], _faces_along(table)
+    edges = [set(pair) for pair in ends[::2]]
+    counts = [len(along) + len(against) for along, against in zip(runs[::2], runs[1::2])]
+    bad_edges = {tuple(sorted(edge)): k for edge, k in zip(edges, counts) if k != 2}
     checks.append(("edge_two_faces", not bad_edges, f"edges with face count != 2: {bad_edges}"))
 
-    v, e, f = len(p.vertices), len(ef), len(p.faces)
+    v, e, f = len(p.vertices), len(edges), len(p.faces)
     checks.append(("euler", v - e + f == 2, f"V-E+F = {v}-{e}+{f} = {v - e + f}"))
 
     checks.append(
-        ("face_graph_connected", _connected(len(p.faces), p.adjacent_face_pairs()), "")
+        ("face_graph_connected", _components(len(p.faces), p.adjacent_face_pairs()) <= 1, "")
     )
 
     if fam == LOBELL:
-        degs = {w: 0 for w in p.vertices}
-        for edge in ef:
-            for w in edge:
-                if w in degs:
-                    degs[w] += 1
-        nontriv = {w: k for w, k in degs.items() if k != 3}
+        degs = Counter(w for edge in edges for w in edge)
+        nontriv = {w: degs[w] for w in p.vertices if degs[w] != 3}
         checks.append(("trivalent", not nontriv, f"non-trivalent: {nontriv}"))
         small = [fi for fi, fc in enumerate(p.faces) if len(fc) < 5]
         checks.append(("faces_at_least_pentagons", not small, f"faces with < 5 sides: {small}"))
@@ -269,7 +258,7 @@ def validate_polytope(p: CombinatorialPolytope, family: Optional[str] = None) ->
         nontri = [fi for fi, fc in enumerate(p.faces) if len(fc) != 3]
         checks.append(("faces_triangles", not nontri, f"non-triangles: {nontri}"))
 
-    return PolytopeReport(checks)
+    return CheckReport(checks)
 
 
 def dart_table(
@@ -294,6 +283,18 @@ def dart_table(
     return ids, ends, sides
 
 
+def _faces_along(table) -> list[list[int]]:
+    """runs[d]: the faces whose cycles run along dart d of the dart table, in
+    face order, a face listed as often as its cycle does so.  The faces on
+    edge d >> 1 are runs[d] + runs[d ^ 1]."""
+    _, ends, sides = table
+    runs: list[list[int]] = [[] for _ in ends]
+    for fi, darts in enumerate(sides):
+        for d in darts:
+            runs[d].append(fi)
+    return runs
+
+
 def boundary_orientation(p: CombinatorialPolytope) -> list[int]:
     """Coherent orientation of the boundary sphere.
 
@@ -307,11 +308,7 @@ def boundary_orientation(p: CombinatorialPolytope) -> list[int]:
 def _face_signs(table) -> list[int]:
     """boundary_orientation on the dart table of the polytope."""
     _, ends, sides = table
-    runs: list[list[int]] = [[] for _ in ends]  # the faces running along each dart
-    for fi, darts in enumerate(sides):
-        for d in darts:
-            runs[d].append(fi)
-
+    runs = _faces_along(table)
     signs = [0] * len(sides)
     for start in range(len(sides)):
         if signs[start]:

@@ -23,9 +23,10 @@ the identity, matched triangles by the match's vertex map.  Fresh apexes give
 
 verify_triangulation checks the gluing axioms, the quotient cell counts and
 Euler characteristic, that every vertex link is a sphere (connected by
-construction), and orientability (tetrahedra admit signs such that same-sign
-gluings are odd permutations), naming faces glued to themselves and edges
-glued to themselves in reverse.  It hands each usable gluing once to the core
+construction), orientability (tetrahedra admit signs such that same-sign
+gluings are odd permutations) and that the quotient is neither empty nor
+disconnected, naming faces glued to themselves and edges glued to
+themselves in reverse.  It hands each usable gluing once to the core
 it shares with verify_closed_manifold, in the ids 4t + i for vertex i of
 tetrahedron t and 16t + 4i + j for its dart from i to j, which is also the
 corner of vertex i's link towards j.
@@ -45,6 +46,7 @@ from .gluing import (
     Slot,
     StructureError,
     VertexLinkReport,
+    _component_problems,
     _match_turn,
     assemble_fibonacci,
     assemble_lobell,
@@ -314,11 +316,13 @@ def _gluing_problem(tri: Triangulation, t: int, f: int) -> Optional[str]:
     return None
 
 
-def _orientable(count: int, glued: list[tuple[int, int, int, tuple]]) -> bool:
+def _orient(count: int, glued: list[tuple[int, int, int, tuple]]) -> tuple[bool, int]:
     """Whether the tetrahedra admit signs such that same-sign gluings are odd
-    permutations: a flat union-find with a Z/2 weight, parity[x] being the
-    sign of x minus the sign of parent[x]."""
+    permutations, and how many connected components they form: a flat
+    union-find with a Z/2 weight, parity[x] being the sign of x minus the
+    sign of parent[x]."""
     parent, parity, size = list(range(count)), [0] * count, [1] * count
+    orientable, components = True, count
     for t, _, t2, perm in glued:
         x, y, d = t, t2, _WEIGHT[perm]
         while parent[x] != x:
@@ -329,14 +333,16 @@ def _orientable(count: int, glued: list[tuple[int, int, int, tuple]]) -> bool:
             if size[x] < size[y]:
                 x, y = y, x
             parent[y], parity[y], size[x] = x, d, size[x] + size[y]
+            components -= 1
         elif d:
-            return False
-    return True
+            orientable = False
+    return orientable, components
 
 
 def verify_triangulation(tri: Triangulation) -> ManifoldReport:
-    """Check the gluing axioms and that the quotient is a closed orientable
-    3-manifold; every failed condition is reported, nothing is raised."""
+    """Check the gluing axioms and that the quotient is a closed connected
+    orientable 3-manifold; every failed condition is reported, nothing is
+    raised."""
     problems: list[str] = []
     count = tri.tet_count
 
@@ -367,11 +373,12 @@ def verify_triangulation(tri: Triangulation) -> ManifoldReport:
             if (t, f) <= (t2, f2):
                 glued.append((t, f, t2, perm))
 
-    orientable = _orientable(count, glued)
+    orientable, components = _orient(count, glued)
     if not orientable:
         problems.append(
             "no assignment of tetrahedron orientations makes every gluing compatible"
         )
+    problems += _component_problems(components)
 
     quotient_vertices, quotient_edges, cells, invalid = quotient_cells(
         [3] * (4 * count),

@@ -9,6 +9,10 @@ library so that agreement is evidence, not tautology:
 * lobachevsky_clausen goes through mpmath's Clausen function Cl_2, and
   lobell_volume_clausen / fibonacci_volume_clausen evaluate the volume
   formulas, angles included, at 30 digits on the same route;
+* edge_faces, face_cycle_edges, adjacent_face_pairs, validate_polytope and
+  edge_cycles are the library's edge queries as they were before the dart
+  table became the one edge structure, with edges keyed by frozensets of
+  vertex labels;
 * coloring_count_oracle brute-forces colorings in reverse face order with
   its own adjacency and rank computations;
 * enumerate_colorings is the library's coloring search as it was before
@@ -28,7 +32,7 @@ library so that agreement is evidence, not tautology:
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterable, Optional
 
 import mpmath
 from scipy.integrate import quad
@@ -42,14 +46,19 @@ from lobfib.coloring import (
     validate_coloring,
 )
 from lobfib.gluing import (
+    EdgeCycle,
     FaceMatch,
     GluedComplex,
     ManifoldReport,
     Slot,
+    StructureError,
     VertexLinkReport,
     fibonacci_pairing,
 )
 from lobfib.polytope import (
+    FIBONACCI,
+    LOBELL,
+    CheckReport,
     CombinatorialPolytope,
     build_fibonacci_polytope,
     build_lobell_polytope,
@@ -196,6 +205,186 @@ def coloring_count_oracle(polytope) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the frozenset-keyed edge map
+# ---------------------------------------------------------------------------
+# The polytope edge queries, validate_polytope and edge_cycles as they stood
+# before lobfib read every edge from the dart table, kept verbatim (edges
+# keyed by frozensets of vertex labels) as free functions, so that
+# tests/test_dart_edges.py can require identical results from the old and
+# the new code.  The other oracles of this module read edges from here.
+
+
+def face_cycle_edges(p: CombinatorialPolytope, face_index: int) -> list[frozenset[str]]:
+    """Edges of one face, as unordered vertex pairs, in cycle order."""
+    cyc = p.faces[face_index]
+    return [frozenset((cyc[k], cyc[(k + 1) % len(cyc)])) for k in range(len(cyc))]
+
+
+def edge_faces(p: CombinatorialPolytope) -> dict[frozenset[str], list[int]]:
+    """Map each edge to the (multi)set of faces whose boundary uses it."""
+    out: dict[frozenset[str], list[int]] = {}
+    for fi in range(len(p.faces)):
+        for e in face_cycle_edges(p, fi):
+            out.setdefault(e, []).append(fi)
+    return out
+
+
+def adjacent_face_pairs(p: CombinatorialPolytope) -> set[frozenset[int]]:
+    """Unordered pairs of face indices sharing an edge."""
+    pairs: set[frozenset[int]] = set()
+    for incident in edge_faces(p).values():
+        if len(incident) == 2 and incident[0] != incident[1]:
+            pairs.add(frozenset(incident))
+    return pairs
+
+
+def _connected(count: int, neighbor_pairs: Iterable[frozenset[int]]) -> bool:
+    if count == 0:
+        return True
+    adj: dict[int, set[int]] = {i: set() for i in range(count)}
+    for pair in neighbor_pairs:
+        x, y = tuple(pair)
+        adj[x].add(y)
+        adj[y].add(x)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == count
+
+
+def validate_polytope(p: CombinatorialPolytope, family: Optional[str] = None) -> CheckReport:
+    """Check the structural invariants of a polytope boundary.
+
+    Generic checks: every face is a simple cycle, every edge lies in exactly
+    two faces, Euler characteristic V - E + F = 2, and the face-adjacency
+    graph is connected.  In Lobell mode the combinatorial Andreev conditions
+    used downstream are added (all vertices trivalent, all faces with at
+    least 5 sides); in Fibonacci mode all faces must be triangles.
+    """
+    fam = family if family is not None else p.family
+    checks: list[tuple[str, bool, str]] = []
+
+    bad_faces = [fi for fi, f in enumerate(p.faces) if len(set(f)) != len(f) or len(f) < 3]
+    checks.append(("faces_simple", not bad_faces, f"degenerate faces: {bad_faces}"))
+
+    ef = edge_faces(p)
+    bad_edges = {tuple(sorted(e)): len(fs) for e, fs in ef.items() if len(fs) != 2}
+    checks.append(("edge_two_faces", not bad_edges, f"edges with face count != 2: {bad_edges}"))
+
+    v, e, f = len(p.vertices), len(ef), len(p.faces)
+    checks.append(("euler", v - e + f == 2, f"V-E+F = {v}-{e}+{f} = {v - e + f}"))
+
+    checks.append(
+        ("face_graph_connected", _connected(len(p.faces), adjacent_face_pairs(p)), "")
+    )
+
+    if fam == LOBELL:
+        degs = {w: 0 for w in p.vertices}
+        for edge in ef:
+            for w in edge:
+                if w in degs:
+                    degs[w] += 1
+        nontriv = {w: k for w, k in degs.items() if k != 3}
+        checks.append(("trivalent", not nontriv, f"non-trivalent: {nontriv}"))
+        small = [fi for fi, fc in enumerate(p.faces) if len(fc) < 5]
+        checks.append(("faces_at_least_pentagons", not small, f"faces with < 5 sides: {small}"))
+    elif fam == FIBONACCI:
+        nontri = [fi for fi, fc in enumerate(p.faces) if len(fc) != 3]
+        checks.append(("faces_triangles", not nontri, f"non-triangles: {nontri}"))
+
+    return CheckReport(checks)
+
+
+def _edge_key(p: CombinatorialPolytope, e: frozenset[str]) -> tuple[int, int]:
+    i, j = sorted(p.vertex_index(v) for v in e)
+    return (i, j)
+
+
+def edge_cycles(gc: GluedComplex) -> list[EdgeCycle]:
+    """All quotient edge classes of the complex.
+
+    Raises StructureError when a vertex bijection fails to carry an edge to
+    an edge or when a cycle closes with its endpoints exchanged.
+    """
+    edge_faces_of = [edge_faces(p) for p in gc.polytopes]
+    order: list[tuple[int, tuple[int, int], frozenset[str]]] = []
+    for ci, p in enumerate(gc.polytopes):
+        for e in edge_faces_of[ci]:
+            order.append((ci, _edge_key(p, e), e))
+    order.sort(key=lambda t: (t[0], t[1]))
+
+    visited: set[tuple[int, frozenset[str]]] = set()
+    cycles: list[EdgeCycle] = []
+    budget = len(order) + 1
+
+    for ci0, _, e0 in order:
+        if (ci0, e0) in visited:
+            continue
+        p0 = gc.polytopes[ci0]
+        incident = edge_faces_of[ci0][e0]
+        if len(incident) != 2 or incident[0] == incident[1]:
+            raise StructureError(
+                f"edge {tuple(sorted(e0))} of copy {ci0} lies in {len(incident)} faces"
+            )
+        u0, v0 = sorted(e0, key=p0.vertex_index)
+        edges = [(ci0, (u0, v0))]
+        maps: list[tuple[str, int]] = []
+        visited.add((ci0, e0))
+
+        ci, u, v = ci0, u0, v0
+        leave_face = min(incident)
+        for _ in range(budget):
+            slot = (ci, leave_face)
+            if not gc.pairing.has(slot):
+                raise StructureError(
+                    f"face slot {slot} on the cycle through {edges[0]} is unmatched"
+                )
+            (cj, fj), vmap, name, direction = gc.pairing.transport(slot)
+            try:
+                u2, v2 = vmap[u], vmap[v]
+            except KeyError as missing:
+                raise StructureError(
+                    f"match {name} has no image for vertex {missing} of face slot {slot}"
+                ) from None
+            e2 = frozenset((u2, v2))
+            faces2 = edge_faces_of[cj].get(e2)
+            if faces2 is None or fj not in faces2:
+                raise StructureError(
+                    f"match {name} does not carry edge {(u, v)} to an edge of face {fj}"
+                )
+            maps.append((name, direction))
+            if (cj, e2) == (ci0, e0):
+                if (u2, v2) != (u0, v0):
+                    raise StructureError(
+                        f"edge cycle through {edges[0]} closes with endpoints "
+                        f"exchanged: {(u2, v2)} != {(u0, v0)}"
+                    )
+                break
+            if (cj, e2) in visited:
+                raise StructureError(
+                    f"edge cycle through {edges[0]} re-enters {(cj, tuple(sorted(e2)))} "
+                    "before closing"
+                )
+            visited.add((cj, e2))
+            edges.append((cj, (u2, v2)))
+            other = [f for f in faces2 if f != fj]
+            if len(faces2) != 2 or not other:
+                raise StructureError(
+                    f"edge {tuple(sorted(e2))} of copy {cj} lies in {len(faces2)} faces"
+                )
+            ci, u, v = cj, u2, v2
+            leave_face = other[0]
+        else:
+            raise StructureError(f"edge cycle through {edges[0]} did not close")
+        cycles.append(EdgeCycle(edges, maps))
+    return cycles
+
+
+# ---------------------------------------------------------------------------
 # the leaf-checked coloring search
 # ---------------------------------------------------------------------------
 # lobfib's enumerate_colorings as it stood before forward checking, kept
@@ -217,7 +406,7 @@ def enumerate_colorings(
         return []
     lab = _label_by_index(p)
     nbrs: dict[int, set[int]] = {fi: set() for fi in range(len(p.faces))}
-    for pair in p.adjacent_face_pairs():
+    for pair in adjacent_face_pairs(p):
         x, y = tuple(pair)
         nbrs[x].add(y)
         nbrs[y].add(x)
@@ -281,7 +470,7 @@ def boundary_orientation(p: CombinatorialPolytope) -> list[int]:
             d[frozenset((u, w))] = (u, w)
         directed.append(d)
 
-    ef = p.edge_faces()
+    ef = edge_faces(p)
     signs: list[int] = [0] * len(p.faces)
     for start in range(len(p.faces)):
         if signs[start]:
@@ -592,7 +781,7 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
         (ci, v) for ci, p in enumerate(gc.polytopes) for v in p.vertices
     ]
     all_edges = [
-        (ci, e) for ci, p in enumerate(gc.polytopes) for e in p.edge_faces()
+        (ci, e) for ci, p in enumerate(gc.polytopes) for e in edge_faces(p)
     ]
     for ci, v in all_vertices:
         vertex_uf.find((ci, v))
@@ -606,7 +795,7 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
         (ci, fi), (cj, fj) = m.source, m.target
         for v, w in m.vertex_map.items():
             vertex_uf.union((ci, v), (cj, w))
-        for e in gc.polytopes[ci].face_cycle_edges(fi):
+        for e in face_cycle_edges(gc.polytopes[ci], fi):
             image = frozenset(m.vertex_map[v] for v in e)
             edge_uf.union((ci, e), (cj, image))
 
@@ -757,7 +946,7 @@ def triangulate_fibonacci(n: int) -> Triangulation:
     """Cone Y(n) from Q and glue along the pairing s_1..s_2n (3n tetrahedra)."""
     p = build_fibonacci_polytope(n)
     pairing = fibonacci_pairing(p)
-    edge_to_faces = p.edge_faces()
+    edge_to_faces = edge_faces(p)
     has_apex = ["Q" in face for face in p.faces]
     name_of = {fi: name for name, fi in p.face_labels.items()}
 

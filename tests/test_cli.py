@@ -95,6 +95,16 @@ class TestPipeline:
         assert any(line.startswith("problem:") for line in checked.stdout.splitlines())
 
 
+    def test_verify_rejects_an_empty_triangulation(self, tmp_path):
+        table = tmp_path / "empty.json"
+        table.write_text('{"tetCount": 0, "gluings": []}')
+        checked = run("verify", "--file", str(table))
+        assert checked.returncode == 1
+        lines = checked.stdout.splitlines()
+        assert lines[0] == "closed orientable: no; tetrahedra: 0"
+        assert lines[-1] == "problem: quotient is empty"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -230,6 +240,15 @@ class TestExitCodes:
         assert result.stderr.startswith(message) and result.stderr.count("\n") == 1, (
             result.stderr[-300:]
         )
+
+    def test_coloring_file_with_a_bool_n_exits_1(self, tmp_path):
+        """JSON true is no integer, so it is not read as n = 1 and the file,
+        not the Andreev condition, is blamed."""
+        path = tmp_path / "coloring.json"
+        path.write_text('{"n": true, "colors": {}}')
+        result = run("triangulate", "--family", "lobell", "--n", "1", "--color", f"file:{path}")
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == "error: coloring field 'n' must be an integer\n", result.stderr
 
     def test_deeply_nested_triangulation_file_exits_1(self, tmp_path):
         path = tmp_path / "deep.json"

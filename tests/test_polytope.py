@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import oracles
 from lobfib.polytope import (
     FIBONACCI,
     LOBELL,
@@ -146,8 +147,13 @@ class TestEdgesAndOrientation:
     )
     def test_edges_in_two_faces(self, build, n):
         p = build(n)
-        for e, faces in p.edge_faces().items():
-            assert len(faces) == 2, f"edge {sorted(e)} lies in {len(faces)} faces"
+        _, ends, sides = dart_table(p)
+        faces_on = [0] * (len(ends) // 2)  # per edge d >> 1, with multiplicity
+        for darts in sides:
+            for d in darts:
+                faces_on[d >> 1] += 1
+        for k, count in enumerate(faces_on):
+            assert count == 2, f"edge {sorted(ends[2 * k])} lies in {count} faces"
 
     @pytest.mark.parametrize(
         "build,n", [(build_lobell_polytope, 5), (build_lobell_polytope, 8),
@@ -194,6 +200,47 @@ class TestDartTable:
         replaced called any face meeting itself along an edge non-orientable.)"""
         p = CombinatorialPolytope(None, None, ["a", "b", "c"], [("a", "b", "c", "b")], {})
         assert boundary_orientation(p) == [1]
+
+
+def polytope(*faces: str) -> CombinatorialPolytope:
+    """A bare polytope whose faces are the given vertex strings."""
+    return CombinatorialPolytope(None, None, sorted(set("".join(faces))), list(faces), {})
+
+
+TETRAHEDRON = ("abc", "acd", "adb", "bdc")
+SQUARE_PYRAMID = ("abcd", "eba", "ecb", "edc", "ead")
+# a 3 x 3 grid of squares with opposite sides identified: V - E + F = 0
+GRID = ("ABC", "DEF", "GHI")
+TORUS = tuple(
+    GRID[i][j] + GRID[(i + 1) % 3][j] + GRID[(i + 1) % 3][(j + 1) % 3] + GRID[i][(j + 1) % 3]
+    for i in range(3)
+    for j in range(3)
+)
+
+
+class TestValidateBroken:
+    """Each hand-built failure fails its own check, with the oracle's row."""
+
+    @pytest.mark.parametrize(
+        "p, family, row",
+        (
+            (polytope(*TETRAHEDRON, "abe"), None,
+             ("edge_two_faces", False,
+              "edges with face count != 2: {('a', 'b'): 3, ('b', 'e'): 1, ('a', 'e'): 1}")),
+            (polytope(*SQUARE_PYRAMID), LOBELL, ("trivalent", False, "non-trivalent: {'e': 4}")),
+            (polytope(*SQUARE_PYRAMID), FIBONACCI, ("faces_triangles", False, "non-triangles: [0]")),
+            (polytope("abcd", "abdc", "acbd"), None, ("euler", False, "V-E+F = 4-6+3 = 1")),
+            (polytope(*TETRAHEDRON, *TORUS), None, ("face_graph_connected", False, "")),
+            (polytope("abcb"), None, ("faces_simple", False, "degenerate faces: [0]")),
+        ),
+        ids=("edge_in_three_faces", "non_trivalent", "non_triangle", "projective_plane",
+             "sphere_and_torus", "folded_face"),
+    )
+    def test_failed_check(self, p, family, row):
+        report = validate_polytope(p, family=family)
+        assert row in report.checks
+        assert report.checks == oracles.validate_polytope(p, family=family).checks
+        assert p.adjacent_face_pairs() == oracles.adjacent_face_pairs(p)
 
 
 class TestSerialization:

@@ -6,9 +6,13 @@ complexes whose copies or matches break orientability, and on random
 gluings of one to three tetrahedra.  boundary_orientation, read from the
 dart table, must give the signs and errors of the frozenset-keyed one.
 
-The one difference allowed is the two kinds of problem line the old code
-did not write, naming an edge glued to itself in reverse or a face glued to
-itself, and only on inputs the old code already rejected."""
+Two differences are allowed.  The first is the two kinds of problem line
+the old code did not write, naming an edge glued to itself in reverse or a
+face glued to itself, and only on inputs the old code already rejected.
+The second is the problem line of an empty or disconnected quotient, which
+the old code accepted: on an input the old code accepted it must appear
+exactly when the tetrahedra or copies, joined by their gluings, form no or
+several components, and it may change the report's "ok" and nothing else."""
 
 import re
 
@@ -55,13 +59,62 @@ GATE = settings(
 )
 
 
-def assert_same_report(new, old) -> None:
+SPLIT = re.compile(r"quotient is empty|quotient is disconnected: \d+ components")
+
+
+def split_problems(components: int) -> list[str]:
+    if components == 0:
+        return ["quotient is empty"]
+    return [f"quotient is disconnected: {components} components"] if components > 1 else []
+
+
+def components(count: int, joined) -> int:
+    """Components of the cells 0..count-1 under the pairs in joined, each
+    pair naming two cells (pairs naming no cell are skipped)."""
+    parent = list(range(count))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in joined:
+        if 0 <= x < count and 0 <= y < count:
+            parent[root(y)] = root(x)
+    return sum(root(x) == x for x in range(count))
+
+
+def assert_same_report(new, old, parts: int) -> None:
+    """new and old agree but for the allowed differences; parts counts the
+    components of the input, over all of its gluings or matches."""
     new_doc, old_doc = new.to_json_dict(), old.to_json_dict()
     named = [p for p in new_doc["problems"] if NAMED.fullmatch(p)]
     if named:
         assert not old_doc["ok"], f"the old verifier accepted an input with {named}"
         new_doc["problems"] = [p for p in new_doc["problems"] if p not in named]
+    split = [p for p in new_doc["problems"] if SPLIT.fullmatch(p)]
+    if old_doc["ok"]:
+        assert split == split_problems(parts)
+    if split:
+        new_doc["problems"] = [p for p in new_doc["problems"] if p not in split]
+        del new_doc["ok"], old_doc["ok"]
     assert new_doc == old_doc
+
+
+def assert_same_triangulation_report(tri) -> None:
+    joined = [(t, entry[0]) for t, row in enumerate(tri.gluings) for entry in row if entry]
+    assert_same_report(
+        verify_triangulation(tri), oracles.verify_triangulation(tri),
+        components(tri.tet_count, joined),
+    )
+
+
+def assert_same_complex_report(gc) -> None:
+    joined = [(m.source[0], m.target[0]) for m in gc.pairing.matches]
+    assert_same_report(
+        verify_closed_manifold(gc), oracles.verify_closed_manifold(gc),
+        components(gc.copies, joined),
+    )
 
 
 def lobell_coloring(n: int):
@@ -72,16 +125,16 @@ class TestFamilies:
     @pytest.mark.parametrize("n", range(5, 13))
     def test_lobell(self, n):
         tri = triangulate_lobell(lobell_coloring(n))
-        assert_same_report(verify_triangulation(tri), oracles.verify_triangulation(tri))
+        assert_same_triangulation_report(tri)
         gc = assemble_lobell(lobell_coloring(n))
-        assert_same_report(verify_closed_manifold(gc), oracles.verify_closed_manifold(gc))
+        assert_same_complex_report(gc)
 
     @pytest.mark.parametrize("n", range(4, 17))
     def test_fibonacci(self, n):
         tri = triangulate_fibonacci(n)
-        assert_same_report(verify_triangulation(tri), oracles.verify_triangulation(tri))
+        assert_same_triangulation_report(tri)
         gc = assemble_fibonacci(n)
-        assert_same_report(verify_closed_manifold(gc), oracles.verify_closed_manifold(gc))
+        assert_same_complex_report(gc)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +189,19 @@ def lone_open_tetrahedron():
     return Triangulation([[None, None, None, None]])
 
 
+def no_tetrahedra():
+    return Triangulation([])
+
+
+def two_disjoint_y4_triangulations():
+    """Two copies of the Y(4) triangulation side by side in one table."""
+    rows = triangulate_fibonacci(4).gluings
+    shift = len(rows)
+    return Triangulation(rows + [
+        [(t + shift, f, perm) for t, f, perm in row] for row in rows
+    ])
+
+
 @pytest.mark.parametrize(
     "build",
     (
@@ -145,11 +211,13 @@ def lone_open_tetrahedron():
         dangling_reference,
         orientation_reversing_regluing,
         lone_open_tetrahedron,
+        no_tetrahedra,
+        two_disjoint_y4_triangulations,
     ),
 )
 def test_broken_triangulations(build):
     tri = build()
-    assert_same_report(verify_triangulation(tri), oracles.verify_triangulation(tri))
+    assert_same_triangulation_report(tri)
 
 
 def corrupted_vertex_map():
@@ -160,6 +228,20 @@ def corrupted_vertex_map():
 
 def missing_pairing():
     return GluedComplex([build_fibonacci_polytope(4)], [1], FacePairing([]))
+
+
+def no_copies():
+    return GluedComplex([], [], FacePairing([]))
+
+
+def two_disjoint_y4():
+    """Two copies of Y(4), each closed up by its own pairing s_1..s_8."""
+    p = build_fibonacci_polytope(4)
+    return GluedComplex([p, p], [1, 1], FacePairing([
+        FaceMatch(f"{m.name}@{ci}", (ci, m.source[1]), (ci, m.target[1]), m.vertex_map)
+        for ci in range(2)
+        for m in assemble_fibonacci(4).pairing.matches
+    ]))
 
 
 def all_signs_flipped():
@@ -260,11 +342,13 @@ def reversed_y4_equal_signs():
         y5_with_a_reflected_match,
         reversed_y4_opposite_signs,
         reversed_y4_equal_signs,
+        no_copies,
+        two_disjoint_y4,
     ),
 )
 def test_broken_complexes(build):
     gc = build()
-    assert_same_report(verify_closed_manifold(gc), oracles.verify_closed_manifold(gc))
+    assert_same_complex_report(gc)
 
 
 @pytest.mark.parametrize(
@@ -282,6 +366,24 @@ def test_broken_complexes(build):
 def test_orientation_failures_are_named(build, problem):
     report = verify_closed_manifold(build())
     assert not report.orientable and problem in report.problems
+
+
+@pytest.mark.parametrize(
+    "verify, build, problem",
+    (
+        (verify_triangulation, no_tetrahedra, "quotient is empty"),
+        (verify_triangulation, two_disjoint_y4_triangulations,
+         "quotient is disconnected: 2 components"),
+        (verify_closed_manifold, no_copies, "quotient is empty"),
+        (verify_closed_manifold, two_disjoint_y4, "quotient is disconnected: 2 components"),
+    ),
+    ids=("no_tetrahedra", "two_y4_triangulations", "no_copies", "two_y4_complexes"),
+)
+def test_empty_and_disconnected_quotients_are_named(verify, build, problem):
+    """Every other check passes on these inputs, so the old verifiers
+    called them closed orientable manifolds."""
+    report = verify(build())
+    assert not report.ok and report.problems == [problem]
 
 
 def test_reversed_copy_under_equal_signs_is_orientable():
@@ -388,7 +490,7 @@ def small_triangulations(draw):
 @GATE
 @given(small_triangulations())
 def test_random_small_gluings(tri):
-    assert_same_report(verify_triangulation(tri), oracles.verify_triangulation(tri))
+    assert_same_triangulation_report(tri)
 
 
 def test_triangulation_names_self_glued_faces_and_edges():
