@@ -10,7 +10,13 @@ step rounded up.  Where that interval of vol / v3 contains no
 integer, which holds for every n <= 3000 except M(4), k is certified; M(4)
 has vol = 2 v3 exactly, so k = 3 there rests on that identity.
 Any concrete triangulation with t tetrahedra gives the upper bound
-c(M) <= t.  For the two families this produces
+c(M) <= t.  The upper bound reported here is the size of the paper's
+fan-and-cone construction, taken from its closed formula
+(`lobell_tet_count`, `fibonacci_tet_count`) without building it.
+`triangulation.triangulate` builds that construction, and
+`tests/test_bounds.py::TestWitness` builds it, verifies it with
+`verify_triangulation` and requires its tetrahedron count to equal the
+reported upper bound.  For the two families this produces
 
     Loebell:    lower(n) <= c <= 32(2n - 1), with vol = l(n) ~ 10n * v3,
     Fibonacci:  lower(n) <= c <= 3n,         with vol(M(n)) ~ 2n * v3,
@@ -28,9 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .coloring import canonical_coloring
-from .polytope import FIBONACCI, LOBELL, build_lobell_polytope
-from .triangulation import triangulate_fibonacci, triangulate_lobell
+from .polytope import FIBONACCI, LOBELL
 from .volume import V3_LOWER, VolumeResult, fibonacci_volume, lobell_volume, v3
 
 
@@ -110,33 +114,28 @@ class BoundsReport:
 def bounds_report(family: str, n: int) -> BoundsReport:
     """Volume, certified lower bound, and witnessed upper bound for one n.
 
-    The upper bound is the tetrahedron count of the actually constructed
-    triangulation, cross-checked against the closed formula.
+    The upper bound is the size of the paper's fan-and-cone construction,
+    given by its closed formula; no triangulation is built here.
+    `triangulate` builds that construction, and
+    `tests/test_bounds.py::TestWitness` builds, verifies and counts it.
     """
     if family == LOBELL:
         volume = lobell_volume(n)
-        tri = triangulate_lobell(canonical_coloring(build_lobell_polytope(n)))
-        expected = lobell_tet_count(n)
+        upper = lobell_tet_count(n)
         asymptotic = 10 * n
     elif family == FIBONACCI:
         volume = fibonacci_volume(n)
-        tri = triangulate_fibonacci(n)
-        expected = fibonacci_tet_count(n)
+        upper = fibonacci_tet_count(n)
         asymptotic = 2 * n
     else:
         raise ValueError(f"unknown family {family!r}")
-    if tri.tet_count != expected:
-        raise RuntimeError(
-            f"triangulation of {family} n={n} has {tri.tet_count} tetrahedra, "
-            f"but the closed formula gives {expected}"
-        )
     lower = lower_bound_from_volume(volume)
     return BoundsReport(
         family=family,
         n=n,
         volume=volume,
         lower_bound=lower,
-        upper_bound=tri.tet_count,
+        upper_bound=upper,
         asymptotic_lower=asymptotic,
         asymptotic_attained=lower >= asymptotic,
     )

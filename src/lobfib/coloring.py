@@ -100,9 +100,6 @@ class FaceColoring:
     n: int
     colors: dict[int, Z2Vector3]
 
-    def color_of(self, face_label: int) -> Z2Vector3:
-        return self.colors[face_label]
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

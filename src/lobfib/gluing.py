@@ -48,7 +48,6 @@ indices) and leaves the starting edge through its smaller-indexed face.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -164,9 +163,6 @@ class GluedComplex:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # the two assemblies
@@ -265,7 +261,6 @@ def edge_cycles(gc: GluedComplex) -> list[EdgeCycle]:
 
     visited: set[tuple[int, int]] = set()  # (copy, even dart)
     cycles: list[EdgeCycle] = []
-    budget = len(order) + 1
 
     for ci0, _, d0 in order:
         if (ci0, d0) in visited:
@@ -283,7 +278,7 @@ def edge_cycles(gc: GluedComplex) -> list[EdgeCycle]:
 
         ci, u, v = ci0, u0, v0
         leave_face = min(incident)
-        for _ in range(budget):
+        while True:  # each step closes, raises, or visits a new (copy, edge)
             slot = (ci, leave_face)
             if not gc.pairing.has(slot):
                 raise StructureError(
@@ -325,8 +320,6 @@ def edge_cycles(gc: GluedComplex) -> list[EdgeCycle]:
                 )
             ci, u, v = cj, u2, v2
             leave_face = other[0]
-        else:
-            raise StructureError(f"edge cycle through {edges[0]} did not close")
         cycles.append(EdgeCycle(edges, maps))
     return cycles
 
@@ -498,12 +491,11 @@ def _match_turn(gc: GluedComplex, m: FaceMatch) -> int:
     """+1 if m carries its source face's cycle along its target face's, -1
     if against it, 0 if both (as on faces of fewer than 3 vertices); raises
     StructureError when m is no cycle-preserving bijection of two faces."""
-    (ci, fi), (cj, fj) = m.source, m.target
-    try:
-        src = gc.polytopes[ci].faces[fi]
-        tgt = gc.polytopes[cj].faces[fj]
-    except IndexError:
-        raise StructureError(f"match {m.name} references a missing face slot") from None
+    for ci, fi in (m.source, m.target):
+        if not (0 <= ci < gc.copies and 0 <= fi < len(gc.polytopes[ci].faces)):
+            raise StructureError(f"match {m.name} references a missing face slot")
+    src = gc.polytopes[m.source[0]].faces[m.source[1]]
+    tgt = gc.polytopes[m.target[0]].faces[m.target[1]]
     if set(m.vertex_map.keys()) != set(src) or set(m.vertex_map.values()) != set(tgt):
         raise StructureError(f"match {m.name} is not a vertex bijection between its two faces")
     image = tuple(m.vertex_map[v] for v in src)

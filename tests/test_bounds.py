@@ -13,6 +13,13 @@ from lobfib.bounds import (
     lobell_tet_count,
     lower_bound_from_volume,
 )
+from lobfib.coloring import canonical_coloring
+from lobfib.polytope import build_lobell_polytope
+from lobfib.triangulation import (
+    triangulate_fibonacci,
+    triangulate_lobell,
+    verify_triangulation,
+)
 from lobfib.volume import VolumeResult, fibonacci_volume, lobell_volume, v3
 
 from oracles import fibonacci_volume_clausen, lobell_volume_clausen, v3_clausen
@@ -99,8 +106,9 @@ class TestFrozenLowerBounds:
 
 
 class TestReportContents:
-    """Upper bounds come from actually built triangulations and match the
-    closed formulas; the window is consistent at every n."""
+    """Upper bounds match the closed formulas of the construction (which
+    TestWitness ties to built triangulations); the window is consistent at
+    every n."""
 
     @pytest.mark.parametrize("n", range(5, 51))
     def test_lobell_window(self, n):
@@ -137,6 +145,23 @@ class TestReportContents:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             bounds_report("cube", 5)
+
+
+class TestWitness:
+    """The reported upper bound is the size of a triangulation that is
+    actually built and verified as a closed orientable manifold."""
+
+    @pytest.mark.parametrize("n", range(5, 21))
+    def test_lobell(self, n):
+        tri = triangulate_lobell(canonical_coloring(build_lobell_polytope(n)))
+        assert bounds_report("lobell", n).upper_bound == tri.tet_count
+        assert verify_triangulation(tri).ok
+
+    @pytest.mark.parametrize("n", range(4, 31))
+    def test_fibonacci(self, n):
+        tri = triangulate_fibonacci(n)
+        assert bounds_report("fibonacci", n).upper_bound == tri.tet_count
+        assert verify_triangulation(tri).ok
 
 
 class TestAsymptoticAttainment:

@@ -3,6 +3,7 @@ the triangulate-then-verify pipeline, determinism, and exit codes."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ def run(*argv):
         capture_output=True,
         text=True,
         env=CHILD_ENV,
+        timeout=60,  # a hanging child fails its test instead of stalling the suite
     )
 
 
@@ -167,6 +169,16 @@ class TestSubcommandOutput:
         result = run("bounds", "--family", "lobell", "--n", "6")
         assert result.returncode == 0
         assert "lower bound" in result.stdout and "upper bound" in result.stdout
+
+    @pytest.mark.parametrize(
+        "family, upper", (("lobell", 639999968), ("fibonacci", 30000000))
+    )
+    def test_bounds_at_huge_n_answers(self, family, upper):
+        """The upper bound is the construction's closed formula, so bounds
+        answers at once where building the witness would not finish."""
+        result = run("bounds", "--family", family, "--n", "10000000")
+        assert result.returncode == 0, result.stderr
+        assert re.search(rf"^upper bound +{upper}$", result.stdout, re.MULTILINE)
 
     def test_color_limit(self):
         result = run("color", "--family", "lobell", "--n", "5", "--limit", "3")

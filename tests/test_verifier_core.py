@@ -26,6 +26,7 @@ from lobfib.gluing import (
     FaceMatch,
     FacePairing,
     GluedComplex,
+    StructureError,
     assemble_fibonacci,
     assemble_lobell,
     verify_closed_manifold,
@@ -38,6 +39,7 @@ from lobfib.polytope import (
 )
 from lobfib.triangulation import (
     Triangulation,
+    triangulate,
     triangulate_fibonacci,
     triangulate_lobell,
     verify_triangulation,
@@ -427,6 +429,26 @@ def test_complex_names_edges_glued_to_themselves_in_reverse():
         "edge a-b of copy 0 is glued to itself in reverse",
         "edge c-d of copy 0 is glued to itself in reverse",
     ]
+
+
+@pytest.mark.parametrize("slot", ((-1, 0), (0, -1)), ids=("copy", "face"))
+def test_negative_slot_index_is_reported(slot):
+    """A negative copy or face index names no slot, although Python would
+    index the last copy or face with it.  The dict-keyed oracle crashes on
+    this input, so the problem lines are asserted directly."""
+    gc = assemble_fibonacci(4)
+    s1, *rest = gc.pairing.matches
+    moved = FaceMatch(s1.name, slot, s1.target, s1.vertex_map)
+    gc = GluedComplex(gc.polytopes, gc.signs, FacePairing([moved, *rest]))
+    report = verify_closed_manifold(gc)
+    assert not report.ok
+    assert report.problems == [
+        f"unmatched faces: {[s1.source]}",
+        f"pairing references faces outside the complex: {[slot]}",
+        "match s1 references a missing face slot",
+    ]
+    with pytest.raises(StructureError, match="match s1 references a missing face slot"):
+        triangulate(gc)
 
 
 # ---------------------------------------------------------------------------
