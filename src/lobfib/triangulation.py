@@ -88,17 +88,8 @@ class Triangulation:
 # ---------------------------------------------------------------------------
 
 def export_triangulation(tri: Triangulation) -> str:
-    data = {
-        "tetCount": tri.tet_count,
-        "gluings": [
-            [
-                None if entry is None else [entry[0], entry[1], list(entry[2])]
-                for entry in row
-            ]
-            for row in tri.gluings
-        ],
-    }
-    return json.dumps(data, indent=2) + "\n"
+    # json writes the gluing tuples as arrays
+    return json.dumps({"tetCount": tri.tet_count, "gluings": tri.gluings}, indent=2) + "\n"
 
 
 def import_triangulation(text: str) -> Triangulation:
@@ -106,7 +97,7 @@ def import_triangulation(text: str) -> Triangulation:
     with the offending location on any malformed entry."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise TriangulationFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise TriangulationFormatError("not valid JSON: nested too deeply") from None
@@ -116,7 +107,7 @@ def import_triangulation(text: str) -> Triangulation:
         if key not in data:
             raise TriangulationFormatError(f"missing key {key!r}")
     count = data["tetCount"]
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+    if type(count) is not int or count < 0:
         raise TriangulationFormatError(f"tetCount must be a non-negative integer, got {count!r}")
     rows = data["gluings"]
     if not isinstance(rows, list):
@@ -125,41 +116,32 @@ def import_triangulation(text: str) -> Triangulation:
         raise TriangulationFormatError(
             f"tetCount is {count} but gluings lists {len(rows)} tetrahedra"
         )
-
-    def is_index(x, bound) -> bool:
-        return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < bound
-
-    gluings: list[list[Optional[Gluing]]] = []
+    # JSON numbers load as int, bool or float, and True == 1 == 1.0, so every
+    # index is type-tested; a permutation is tested before it is hashed
     for t, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 4:
+        if type(row) is not list or len(row) != 4:
             raise TriangulationFormatError(f"gluings[{t}] must list 4 face gluings")
-        out_row: list[Optional[Gluing]] = []
         for f, entry in enumerate(row):
-            where = f"gluings[{t}][{f}]"
             if entry is None:
-                out_row.append(None)
                 continue
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise TriangulationFormatError(f"{where} must be [tet, face, perm] or null")
+            if type(entry) is not list or len(entry) != 3:
+                raise TriangulationFormatError(f"gluings[{t}][{f}] must be [tet, face, perm] or null")
             t2, f2, perm = entry
-            if not is_index(t2, count):
+            if type(t2) is not int or not 0 <= t2 < count:
                 raise TriangulationFormatError(
-                    f"{where} references tetrahedron {t2!r} of {count}"
+                    f"gluings[{t}][{f}] references tetrahedron {t2!r} of {count}"
                 )
-            if not is_index(f2, 4):
-                raise TriangulationFormatError(f"{where} references face {f2!r} of 4")
+            if type(f2) is not int or not 0 <= f2 < 4:
+                raise TriangulationFormatError(f"gluings[{t}][{f}] references face {f2!r} of 4")
             if (
-                not isinstance(perm, list)
-                or len(perm) != 4
-                or not all(is_index(x, 4) for x in perm)
-                or sorted(perm) != [0, 1, 2, 3]
+                type(perm) is not list
+                or not all(type(x) is int for x in perm)
+                or tuple(perm) not in _INVERSE
             ):
                 raise TriangulationFormatError(
-                    f"{where} permutation {perm!r} is not a permutation of 0..3"
+                    f"gluings[{t}][{f}] permutation {perm!r} is not a permutation of 0..3"
                 )
-            out_row.append((t2, f2, tuple(perm)))
-        gluings.append(out_row)
-    return Triangulation(gluings)
+    return Triangulation(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +209,11 @@ def triangulate(gc: GluedComplex, apex: Optional[str] = None) -> Triangulation:
             labels.append({"copy": c, "face": fi, "fan": k, "vertices": tets[-1]})
     # a pass of its own: wall keys allocated between the labels would pin
     # their memory after the walls are freed (Löbell pipeline peak RSS +3 %)
-    walls: dict[tuple[int, frozenset], list[Slot]] = {}
+    walls: dict[tuple[int, str, str], list[Slot]] = {}  # (copy, u, v) with u < v
     for t, (_, x, y, z) in enumerate(tets):
         c = labels[t]["copy"]
-        for f, e in ((1, (y, z)), (2, (x, z)), (3, (x, y))):
-            walls.setdefault((c, frozenset(e)), []).append((t, f))
+        for f, (u, v) in ((1, (y, z)), (2, (x, z)), (3, (x, y))):
+            walls.setdefault((c, u, v) if u < v else (c, v, u), []).append((t, f))
 
     gluings: list[list[Optional[Gluing]]] = [[None] * 4 for _ in tets]
     for slots in walls.values():
@@ -244,7 +226,7 @@ def triangulate(gc: GluedComplex, apex: Optional[str] = None) -> Triangulation:
         opposite edge."""
         if not through[s[0]][s[1]]:
             return first[s] + k, 0
-        wall = walls.get((s[0], frozenset(tri) - {cones[s[0]]}), ())
+        wall = walls.get((s[0], *sorted(v for v in tri if v != cones[s[0]])), ())
         return wall[0] if len(wall) == 1 else None
 
     for a, b, vmap, name in carried:

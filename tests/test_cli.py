@@ -35,7 +35,8 @@ def test_import_loads_no_scipy_or_numpy():
     """The runtime needs the standard library only."""
     probe = "import sys, lobfib; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV,
+        timeout=60,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n", f"import lobfib loaded {result.stdout.strip()}"

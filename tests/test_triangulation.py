@@ -1,6 +1,8 @@
 """Singular triangulations: tetrahedron counts, gluing-axiom verification,
 quotient cell counts, JSON round trips, and detection of damaged tables."""
 
+import hashlib
+
 import pytest
 
 from lobfib.coloring import GROUP8, canonical_coloring, group_index, known_lobell6_coloring
@@ -178,6 +180,18 @@ class TestSerialization:
             ('{"tetCount": 1, "gluings": [[[0, 7, [0, 1, 2, 3]], null, null, null]]}', "references face 7 of 4"),
             ('{"tetCount": 1, "gluings": [[[0, 0, [0, 1, 2, 2]], null, null, null]]}', "not a permutation of 0..3"),
             ('{"tetCount": 1, "gluings": [[[0, 0], null, null, null]]}', "must be [tet, face, perm] or null"),
+            # json.loads refuses integers over 4300 digits with a bare ValueError
+            pytest.param('{"tetCount": 1' + "0" * 5000 + ', "gluings": []}', "not valid JSON", id="tetCount-of-5001-digits"),
+            # JSON numbers load as int, bool or float, and True == 1 == 1.0
+            ('{"tetCount": 1, "gluings": [[[0, 0, [0, true, 2, 3]], null, null, null]]}', "permutation [0, True, 2, 3] is not a permutation of 0..3"),
+            ('{"tetCount": 1, "gluings": [[[0, 0, [0.0, 1, 2, 3]], null, null, null]]}', "permutation [0.0, 1, 2, 3] is not a permutation of 0..3"),
+            ('{"tetCount": 1, "gluings": [[[0, 0, [[0], 1, 2, 3]], null, null, null]]}', "permutation [[0], 1, 2, 3] is not a permutation of 0..3"),
+            ('{"tetCount": 1, "gluings": [[[0, 0, [0, 1, 2, 3, 4]], null, null, null]]}', "permutation [0, 1, 2, 3, 4] is not a permutation of 0..3"),
+            ('{"tetCount": 1, "gluings": [[[0, 0, "0123"], null, null, null]]}', "permutation '0123' is not a permutation of 0..3"),
+            ('{"tetCount": 1, "gluings": [[[true, 0, [0, 1, 2, 3]], null, null, null]]}', "gluings[0][0] references tetrahedron True of 1"),
+            ('{"tetCount": 1, "gluings": [[[0, 1.0, [0, 1, 2, 3]], null, null, null]]}', "gluings[0][0] references face 1.0 of 4"),
+            ('{"tetCount": 1, "gluings": [7]}', "gluings[0] must list 4 face gluings"),
+            ('{"tetCount": 1, "gluings": [["abc", null, null, null]]}', "gluings[0][0] must be [tet, face, perm] or null"),
         ),
     )
     def test_import_rejects_malformed_documents(self, text, fragment):
@@ -186,6 +200,23 @@ class TestSerialization:
         assert fragment in str(err.value), (
             f"message {err.value} must locate the defect via {fragment!r}"
         )
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        (
+            pytest.param(lambda: lobell_triangulation(5), "ccd5b62d4241456429b08a48151a0958138917c9a2a6ae2d464f14c9571eee4f", id="lobell5"),
+            pytest.param(lambda: lobell_triangulation(6), "307e88fd97be4465be8e64cf1e25b383680fd83b4845155800a51eb0fc6dd719", id="lobell6"),
+            pytest.param(lambda: triangulate_fibonacci(4), "484ae18a0d445b5a9d48d1532985977457a6baf890ceb9e6ad07d580b4dd0519", id="fibonacci4"),
+            pytest.param(lambda: triangulate_fibonacci(5), "f23f6064bc5819f2d7c8e85875a719606a8bb7287f9bf6a6094b44de561c9a57", id="fibonacci5"),
+            pytest.param(lambda: Triangulation([]), "66ecea8867fa1c3043c83e2b313316f71b46a82087953f23b1ebd7a31ea5c214", id="empty"),
+            pytest.param(lambda: Triangulation([[None] * 4]), "550312e249993117e685d74ca44eaaf1cf502dd1edf9ff43e5fb91a095f04545", id="unglued"),
+        ),
+    )
+    def test_export_bytes_are_frozen(self, build, digest):
+        """Indentation, separators and entry order of the export are part of
+        the format: these digests pin its exact bytes."""
+        text = export_triangulation(build())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_constructor_rejects_short_rows(self):
         with pytest.raises(TriangulationFormatError, match="3 face entries instead of 4"):
