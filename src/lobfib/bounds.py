@@ -73,8 +73,11 @@ class BoundsReport:
 
     @property
     def ratios(self) -> dict[str, float]:
+        # volume and upper bound scaled by 2^-64, which changes no rounding,
+        # so that v3 * upper stays finite up to n = 2^1020
+        volume, upper = self.volume.value / 2**64, self.upper_bound / 2**64
         return {
-            "volumeOverV3Upper": self.volume.value / (v3() * self.upper_bound),
+            "volumeOverV3Upper": volume / (v3() * upper),
             "lowerOverUpper": self.lower_bound / self.upper_bound,
         }
 

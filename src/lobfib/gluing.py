@@ -9,9 +9,12 @@ quotient cell structure vanishes, and the link of every quotient vertex is a
 2-sphere; it is orientable when the copies can be oriented so that every
 match reverses the induced boundary orientation.
 verify_closed_manifold checks all of that and reports per-item results,
-naming every edge glued to itself in reverse.  It shares its core,
-quotient_cells, with verify_triangulation: flat-list union-finds over
-integer ids, each copy numbering its vertices and darts (directed edges)
+naming every edge glued to itself in reverse.  Both verifiers count their
+components with polytope._signed_components and end in _manifold_report,
+which runs the quotient_cells core, writes the lines of an empty or
+disconnected quotient and of edges glued to themselves in reverse, and
+builds the ManifoldReport.  quotient_cells runs flat-list union-finds over
+integer ids; here each copy numbers its vertices and darts (directed edges)
 from offsets into the dart table of its polytope, built once per polytope
 object, so that dart d reverses to d ^ 1.  A dart is also the corner of its
 tail's link disk, so one union-find gives the link vertices and the quotient
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .coloring import (
     GROUP8,
@@ -61,10 +65,10 @@ from .coloring import (
 )
 from .polytope import (
     CombinatorialPolytope,
-    _components,
     _face_signs,
     _faces_along,
     _root,
+    _signed_components,
     build_fibonacci_polytope,
     build_lobell_polytope,
     dart_table,
@@ -149,19 +153,6 @@ class GluedComplex:
             for ci, p in enumerate(self.polytopes)
             for fi in range(len(p.faces))
         ]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "copies": self.copies,
-            "pairing": [
-                {
-                    "from": list(m.source),
-                    "to": list(m.target),
-                    "vertexMap": [[v, w] for v, w in sorted(m.vertex_map.items())],
-                }
-                for m in self.pairing.matches
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +478,38 @@ class ManifoldReport:
         }
 
 
+def _manifold_report(
+    quotient: tuple, cells: int, faces: int, closed: bool, orientable: bool,
+    components: int, problems: list[str],
+    link_vertex: Callable[[int], tuple], reversed_edge: Callable[[int], str],
+) -> ManifoldReport:
+    """The report of both verifiers: quotient_cells(*quotient) gives the
+    quotient vertices, edges and links, link_vertex names a link's least
+    vertex id and reversed_edge an edge's least dart.  problems, found so
+    far, gains the line of an empty or disconnected quotient, then one line
+    per edge glued to itself in reverse."""
+    vertices, edges, links, invalid = quotient_cells(*quotient)
+    if components == 0:
+        problems.append("quotient is empty")
+    elif components > 1:
+        problems.append(f"quotient is disconnected: {components} components")
+    problems += [f"{reversed_edge(d)} is glued to itself in reverse" for d in invalid]
+    return ManifoldReport(
+        cells=cells,
+        quotient_vertices=vertices,
+        quotient_edges=edges,
+        quotient_faces=faces,
+        euler_characteristic=vertices - edges + faces - cells,
+        closed=closed,
+        orientable=orientable,
+        vertex_links=[
+            VertexLinkReport(link_vertex(v), disks, euler, True, link_closed)
+            for v, disks, euler, link_closed in links
+        ],
+        problems=problems,
+    )
+
+
 def _match_turn(gc: GluedComplex, m: FaceMatch) -> int:
     """+1 if m carries its source face's cycle along its target face's, -1
     if against it, 0 if both (as on faces of fewer than 3 vertices); raises
@@ -513,16 +536,6 @@ def _once_each(build, items) -> list:
         if id(x) not in cache:
             cache[id(x)] = build(x)
     return [cache[id(x)] for x in items]
-
-
-def _component_problems(components: int) -> list[str]:
-    """The problem line of a quotient that is empty or falls into several
-    connected components: a verifier certifies one connected manifold."""
-    if components == 0:
-        return ["quotient is empty"]
-    if components > 1:
-        return [f"quotient is disconnected: {components} components"]
-    return []
 
 
 def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
@@ -580,23 +593,6 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
         if (ci, fi) not in glued
         for d in tables[ci][2][fi]
     ]
-    quotient_vertices, quotient_edges, cells, invalid = quotient_cells(
-        sides_at,
-        dart_tail,
-        [d ^ 1 for d in range(len(dart_tail))],
-        identifications,
-        loose,
-        loose,
-    )
-    matched_slots = sum(1 for s in slots if gc.pairing.has(s))
-    quotient_faces = matched_slots // 2 + len(unmatched)
-    euler = quotient_vertices - quotient_edges + quotient_faces - gc.copies
-
-    links = []
-    for v, disks, euler_link, link_closed in cells:
-        ci = bisect_right(voff, v) - 1
-        rep = (ci, gc.polytopes[ci].vertices[v - voff[ci]])
-        links.append(VertexLinkReport(rep, disks, euler_link, True, link_closed))
 
     # orientability with the given copy signs: a match must reverse the
     # induced boundary orientation, and keeps it iff turn * s(src) == s(tgt)
@@ -614,22 +610,22 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
         if bad:
             orientable = False
             problems.append(f"orientation-incompatible matches: {bad}")
-    joined = [(m.source[0], m.target[0]) for m, _ in turns]
-    problems += _component_problems(_components(gc.copies, joined))
+    _, components = _signed_components(
+        gc.copies, ((m.source[0], m.target[0], 0) for m, _ in turns)
+    )
 
-    for d in invalid:
+    def link_vertex(v: int) -> tuple:
+        ci = bisect_right(voff, v) - 1
+        return ci, gc.polytopes[ci].vertices[v - voff[ci]]
+
+    def reversed_edge(d: int) -> str:
         ci = bisect_right(doff, d) - 1
         u, w = tables[ci][1][d - doff[ci]]
-        problems.append(f"edge {u}-{w} of copy {ci} is glued to itself in reverse")
+        return f"edge {u}-{w} of copy {ci}"
 
-    return ManifoldReport(
-        cells=gc.copies,
-        quotient_vertices=quotient_vertices,
-        quotient_edges=quotient_edges,
-        quotient_faces=quotient_faces,
-        euler_characteristic=euler,
-        closed=closed,
-        orientable=orientable,
-        vertex_links=links,
-        problems=problems,
+    return _manifold_report(
+        (sides_at, dart_tail, [d ^ 1 for d in range(len(dart_tail))],
+         identifications, loose, loose),
+        gc.copies, (len(slots) - len(unmatched)) // 2 + len(unmatched),
+        closed, orientable, components, problems, link_vertex, reversed_edge,
     )

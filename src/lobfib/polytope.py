@@ -209,14 +209,26 @@ def _root(parent: list[int], x: int) -> int:
     return x
 
 
-def _components(count: int, pairs: Iterable[Iterable[int]]) -> int:
-    """Connected components of 0..count-1 joined by the pairs."""
-    parent = list(range(count))
-    for x, y in pairs:
-        x, y = _root(parent, x), _root(parent, y)
+def _signed_components(count: int, triples: Iterable[tuple[int, int, int]]) -> tuple[bool, int]:
+    """Whether 0..count-1 admit signs in Z/2 with sign(x) - sign(y) = parity
+    for every triple (x, y, parity), and how many connected components the
+    triples join them into: a flat union-find with a Z/2 weight, weight[x]
+    being the sign of x minus the sign of parent[x]."""
+    parent, weight, size = list(range(count)), [0] * count, [1] * count
+    consistent, components = True, count
+    for x, y, d in triples:
+        while parent[x] != x:
+            x, d = parent[x], d ^ weight[x]
+        while parent[y] != y:
+            y, d = parent[y], d ^ weight[y]
         if x != y:
-            parent[y] = x
-    return sum(parent[x] == x for x in range(count))
+            if size[x] < size[y]:
+                x, y = y, x
+            parent[y], weight[y], size[x] = x, d, size[x] + size[y]
+            components -= 1
+        elif d:
+            consistent = False
+    return consistent, components
 
 
 def validate_polytope(p: CombinatorialPolytope, family: Optional[str] = None) -> CheckReport:
@@ -244,9 +256,8 @@ def validate_polytope(p: CombinatorialPolytope, family: Optional[str] = None) ->
     v, e, f = len(p.vertices), len(edges), len(p.faces)
     checks.append(("euler", v - e + f == 2, f"V-E+F = {v}-{e}+{f} = {v - e + f}"))
 
-    checks.append(
-        ("face_graph_connected", _components(len(p.faces), p.adjacent_face_pairs()) <= 1, "")
-    )
+    joined = ((*pair, 0) for pair in p.adjacent_face_pairs())
+    checks.append(("face_graph_connected", _signed_components(len(p.faces), joined)[1] <= 1, ""))
 
     if fam == LOBELL:
         degs = Counter(w for edge in edges for w in edge)

@@ -17,17 +17,21 @@ vertex apex, or from a fresh vertex apex<copy>: one tetrahedron [cone,
 face and fan.  A face through the cone is fanned from it, any other from its
 least-index vertex, except that a match carries the fan of its face through
 the cone, or else of its source, to its partner; triangles run in their
-face's cyclic order from their least-index vertex.  Cone walls are glued by
-the identity, matched triangles by the match's vertex map.  Fresh apexes give
-8n - 4 tetrahedra per copy of R(n), 32(2n - 1) in all; Y(n) coned from Q, 3n.
+face's cyclic order from their least-index vertex, so a carried triangle's
+image is reversed when the match's turn is against the partner's cycle.
+Cone walls are glued by the identity, matched triangles by the match's
+vertex map.  Fresh apexes give 8n - 4 tetrahedra per copy of R(n),
+32(2n - 1) in all; Y(n) coned from Q, 3n.
 
 verify_triangulation checks the gluing axioms, the quotient cell counts and
 Euler characteristic, that every vertex link is a sphere (connected by
 construction), orientability (tetrahedra admit signs such that same-sign
 gluings are odd permutations) and that the quotient is neither empty nor
 disconnected, naming faces glued to themselves and edges glued to
-themselves in reverse.  It hands each usable gluing once to the core
-it shares with verify_closed_manifold, in the ids 4t + i for vertex i of
+themselves in reverse.  Signs and components come from one pass of
+polytope._signed_components, each usable gluing weighted by _WEIGHT[perm].
+Like verify_closed_manifold it ends in gluing._manifold_report, handing
+each usable gluing once to quotient_cells in the ids 4t + i for vertex i of
 tetrahedron t and 16t + 4i + j for its dart from i to j, which is also the
 corner of vertex i's link towards j.
 """
@@ -45,13 +49,12 @@ from .gluing import (
     ManifoldReport,
     Slot,
     StructureError,
-    VertexLinkReport,
-    _component_problems,
+    _manifold_report,
     _match_turn,
     assemble_fibonacci,
     assemble_lobell,
-    quotient_cells,
 )
+from .polytope import _signed_components
 
 Gluing = tuple[int, int, tuple[int, int, int, int]]
 
@@ -180,20 +183,20 @@ def triangulate(gc: GluedComplex, apex: Optional[str] = None) -> Triangulation:
             fans[c, fi] = [(cyc[0], cyc[j], cyc[j + 1]) for j in range(1, len(cyc) - 1)]
 
     # each match glues the fan of one face (a) onto its image in the other
-    # (b), which takes that fan unless b is fanned from the cone vertex itself
+    # (b), which takes that fan unless b is fanned from the cone vertex itself;
+    # the match's turn says whether an image triangle runs along b's cycle
     carried = []
     for m in gc.pairing.matches:
-        _match_turn(gc, m)  # raises StructureError on a malformed match
+        turn = _match_turn(gc, m)  # raises StructureError on a malformed match
         a, b, vmap = m.source, m.target, m.vertex_map
         if through[b[0]][b[1]] and not through[a[0]][a[1]]:
             a, b, vmap = b, a, m.inverse_map()
         if not through[b[0]][b[1]]:
-            p = gc.polytopes[b[0]]
-            pos = {v: k for k, v in enumerate(p.faces[b[1]])}
+            index = gc.polytopes[b[0]].vertex_index
             fans[b] = []
             for tri in fans[a]:
-                img = sorted(map(vmap.__getitem__, tri), key=pos.__getitem__)
-                k = img.index(min(img, key=p.vertex_index))
+                img = [vmap[v] for v in (tri if turn > 0 else tri[::-1])]
+                k = img.index(min(img, key=index))
                 fans[b].append((*img[k:], *img[:k]))
         carried.append((a, b, vmap, m.name))
 
@@ -298,29 +301,6 @@ def _gluing_problem(tri: Triangulation, t: int, f: int) -> Optional[str]:
     return None
 
 
-def _orient(count: int, glued: list[tuple[int, int, int, tuple]]) -> tuple[bool, int]:
-    """Whether the tetrahedra admit signs such that same-sign gluings are odd
-    permutations, and how many connected components they form: a flat
-    union-find with a Z/2 weight, parity[x] being the sign of x minus the
-    sign of parent[x]."""
-    parent, parity, size = list(range(count)), [0] * count, [1] * count
-    orientable, components = True, count
-    for t, _, t2, perm in glued:
-        x, y, d = t, t2, _WEIGHT[perm]
-        while parent[x] != x:
-            x, d = parent[x], d ^ parity[x]
-        while parent[y] != y:
-            y, d = parent[y], d ^ parity[y]
-        if x != y:
-            if size[x] < size[y]:
-                x, y = y, x
-            parent[y], parity[y], size[x] = x, d, size[x] + size[y]
-            components -= 1
-        elif d:
-            orientable = False
-    return orientable, components
-
-
 def verify_triangulation(tri: Triangulation) -> ManifoldReport:
     """Check the gluing axioms and that the quotient is a closed connected
     orientable 3-manifold; every failed condition is reported, nothing is
@@ -355,40 +335,23 @@ def verify_triangulation(tri: Triangulation) -> ManifoldReport:
             if (t, f) <= (t2, f2):
                 glued.append((t, f, t2, perm))
 
-    orientable, components = _orient(count, glued)
+    orientable, components = _signed_components(
+        count, ((t, t2, _WEIGHT[perm]) for t, _, t2, perm in glued)
+    )
     if not orientable:
         problems.append(
             "no assignment of tetrahedron orientations makes every gluing compatible"
         )
-    problems += _component_problems(components)
-
-    quotient_vertices, quotient_edges, cells, invalid = quotient_cells(
-        [3] * (4 * count),
-        [4 * t + i if i >= 0 else -1 for t in range(count) for i in _TET_DART_TAIL],
-        [16 * t + d for t in range(count) for d in _TET_DART_REV],
-        [(4 * t, 4 * t2, 16 * t, 16 * t2, *_IDENTIFIED[f, perm]) for t, f, t2, perm in glued],
-        fixed + opened,
-        opened,
-    )
-    for d in invalid:
-        problems.append(
-            f"edge {(d >> 2) & 3}{d & 3} of tet {d >> 4} is glued to itself in reverse"
-        )
-    quotient_faces = len(glued) + len(unglued)
-    euler = quotient_vertices - quotient_edges + quotient_faces - count
-    links = [
-        VertexLinkReport((v >> 2, v & 3), disks, euler_link, True, link_closed)
-        for v, disks, euler_link, link_closed in cells
-    ]
-
-    return ManifoldReport(
-        cells=count,
-        quotient_vertices=quotient_vertices,
-        quotient_edges=quotient_edges,
-        quotient_faces=quotient_faces,
-        euler_characteristic=euler,
-        closed=closed,
-        orientable=orientable,
-        vertex_links=links,
-        problems=problems,
+    return _manifold_report(
+        (
+            [3] * (4 * count),
+            [4 * t + i if i >= 0 else -1 for t in range(count) for i in _TET_DART_TAIL],
+            [16 * t + d for t in range(count) for d in _TET_DART_REV],
+            [(4 * t, 4 * t2, 16 * t, 16 * t2, *_IDENTIFIED[f, perm]) for t, f, t2, perm in glued],
+            fixed + opened,
+            opened,
+        ),
+        count, len(glued) + len(unglued), closed, orientable, components, problems,
+        lambda v: (v >> 2, v & 3),
+        lambda d: f"edge {(d >> 2) & 3}{d & 3} of tet {d >> 4}",
     )

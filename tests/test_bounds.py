@@ -1,6 +1,7 @@
 """Two-sided complexity bounds: certified volume lower bounds, witnessed
 triangulation upper bounds, asymptotic attainment, and the ratio trends."""
 
+import json
 import math
 
 import mpmath
@@ -203,6 +204,20 @@ class TestRatioTrends:
             values[n] = r["lowerOverUpper"]
         assert values[50] > values[100] > values[500] > 10 / 64
         assert values[500] - 10 / 64 < 1e-3
+
+    @pytest.mark.parametrize(
+        "n", (2**1018 - 2**1011, 2**1018, 2**1019, 2**1020),
+        ids=("2^1018-2^1011", "2^1018", "2^1019", "2^1020"),
+    )
+    def test_lobell_volume_ratio_near_the_float_limit(self, n):
+        """v3 * (64n - 32) is no finite float here (at 2^1018 - 2^1011 the
+        product overflows; from 2^1018 on, 64n - 32 itself is past the
+        largest float), but the volume ratio is."""
+        report = bounds_report("lobell", n)
+        assert report.ratios["volumeOverV3Upper"] == pytest.approx(10 / 64, rel=1e-12)
+        assert "volume / (v3 * upper)  0.156250000" in report.as_text().splitlines()
+        doc = json.loads(report.to_json())
+        assert doc["ratios"]["volumeOverV3Upper"] == pytest.approx(10 / 64, rel=1e-12)
 
     def test_fibonacci_ratio_is_two_thirds(self):
         for n in (50, 100, 500):

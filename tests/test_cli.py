@@ -181,6 +181,17 @@ class TestSubcommandOutput:
         assert result.returncode == 0, result.stderr
         assert re.search(rf"^upper bound +{upper}$", result.stdout, re.MULTILINE)
 
+    @pytest.mark.parametrize("n", (2**1018 - 2**1011, 2**1018), ids=("2^1018-2^1011", "2^1018"))
+    def test_bounds_near_the_float_limit(self, n):
+        """v3 * upper is no finite float here; the volume ratio still is."""
+        text = run("bounds", "--family", "lobell", "--n", str(n))
+        assert text.returncode == 0, text.stderr
+        assert re.search(r"^volume / \(v3 \* upper\)  0\.156250000$", text.stdout, re.MULTILINE)
+        doc = run("bounds", "--family", "lobell", "--n", str(n), "--format", "json")
+        assert doc.returncode == 0, doc.stderr
+        ratio = json.loads(doc.stdout)["ratios"]["volumeOverV3Upper"]
+        assert ratio == pytest.approx(10 / 64, rel=1e-12)
+
     def test_color_limit(self):
         result = run("color", "--family", "lobell", "--n", "5", "--limit", "3")
         assert result.returncode == 0

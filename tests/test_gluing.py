@@ -89,14 +89,6 @@ class TestLobellAssembly:
         with pytest.raises(ValueError, match="not valid"):
             assemble_lobell(c)
 
-    def test_json_document(self):
-        gc = assemble_lobell(known_lobell6_coloring())
-        doc = gc.to_json_dict()
-        assert set(doc) == {"copies", "pairing"}
-        assert doc["copies"] == 8 and len(doc["pairing"]) == 56
-        entry = doc["pairing"][0]
-        assert set(entry) == {"from", "to", "vertexMap"}
-
 
 class TestLobellEdgeCycles:
     """Every edge class closes up after exactly four transports (the four

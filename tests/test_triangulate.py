@@ -115,6 +115,26 @@ class TestAnyComplex:
             "the second copy writes the carried fan from its own least-index vertices"
         )
 
+    @pytest.mark.parametrize("n", (5, 6))
+    def test_double_with_the_second_copy_reversed(self, n):
+        """The second copy lists every face backwards, so each match carries
+        its source cycle against its target's; a carried triangle still runs
+        in its own face's cyclic order from its least-index vertex."""
+        p = build_lobell_polytope(n)
+        q = CombinatorialPolytope(
+            p.family, p.n, p.vertices[::-1], [face[::-1] for face in p.faces], p.face_labels
+        )
+        gc = GluedComplex([p, q], [1, 1], double(n).pairing)
+        tri = triangulate(gc)
+        assert verify_triangulation(tri).ok
+        for lab in tri.labels:
+            polytope = gc.polytopes[lab["copy"]]
+            face, triangle = polytope.faces[lab["face"]], lab["vertices"][1:]
+            pos = [face.index(v) for v in triangle]
+            k = pos.index(min(pos))
+            assert pos[k:] + pos[:k] == sorted(pos), lab
+            assert triangle[0] == min(triangle, key=polytope.vertex_index), lab
+
     def test_double_with_a_match_removed(self):
         gc = double(5, drop=1)
         tri = triangulate(gc)

@@ -527,3 +527,40 @@ def test_triangulation_names_self_glued_faces_and_edges():
     assert "face 0 of tet 0 is glued to itself" in report.problems
     assert "face 3 of tet 0 is glued to itself" in report.problems
     assert "edge 12 of tet 0 is glued to itself in reverse" in report.problems
+
+
+def test_triangulation_problem_lines_in_order():
+    """The tetrahedron above next to one with no gluings: every kind of
+    problem line but a malformed gluing, in the order the verifier writes
+    them, which assert_same_report does not fix for the last two."""
+    gluings = [[None] * 4, [None] * 4]
+    glue(gluings, 0, 0, 0, 0, [2, 1, 3])
+    glue(gluings, 0, 1, 0, 2, [0, 1, 3])
+    glue(gluings, 0, 3, 0, 3, [0, 1, 2])
+    assert verify_triangulation(Triangulation(gluings)).problems == [
+        "unglued faces: (1, 0), (1, 1), (1, 2), (1, 3)",
+        "face 0 of tet 0 is glued to itself",
+        "face 3 of tet 0 is glued to itself",
+        "no assignment of tetrahedron orientations makes every gluing compatible",
+        "quotient is disconnected: 2 components",
+        "edge 12 of tet 0 is glued to itself in reverse",
+    ]
+
+
+def test_complex_problem_lines_in_order():
+    """The folded tetrahedron next to a Y(4) with s1 dropped, in the order
+    the verifier writes the lines."""
+    folded, y4 = folded_tetrahedron(), assemble_fibonacci(4)
+    gc = GluedComplex(folded.polytopes + y4.polytopes, [1, 1], FacePairing(
+        folded.pairing.matches + [
+            FaceMatch(m.name, (1, m.source[1]), (1, m.target[1]), m.vertex_map)
+            for m in y4.pairing.matches[1:]
+        ]
+    ))
+    assert verify_closed_manifold(gc).problems == [
+        "unmatched faces: [(1, 0), (1, 8)]",
+        "orientation-incompatible matches: ['x', 'y']",
+        "quotient is disconnected: 2 components",
+        "edge a-b of copy 0 is glued to itself in reverse",
+        "edge c-d of copy 0 is glued to itself in reverse",
+    ]
