@@ -30,7 +30,6 @@ attained at that specific n.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -92,9 +91,6 @@ class BoundsReport:
             "asymptoticAttained": self.asymptotic_attained,
             "ratios": self.ratios,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     def as_text(self) -> str:
         ratios = self.ratios

@@ -11,7 +11,9 @@ Subcommands:
     volume          closed-form hyperbolic volume
     bounds          two-sided complexity bounds report
 
-All output is deterministic: the same flags produce byte-identical output.
+The CLI writes every JSON document: each subcommand returns text or data,
+and _emit writes data with json.dumps(..., indent=2) and ends each document
+in a newline.  The same flags produce byte-identical output.
 Exit status is 0 on success, 1 on a domain error (invalid n, invalid
 coloring, malformed file), 2 on a usage error.
 """
@@ -46,6 +48,8 @@ from .triangulation import (
     verify_triangulation,
 )
 from .volume import fibonacci_volume, lobell_volume
+
+Document = str | dict | list  # text as is, data as JSON
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,11 +125,11 @@ def _load_coloring(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     raise AssertionError("unreachable")
 
 
-def _run_build_polytope(args) -> str:
+def _run_build_polytope(args) -> Document:
     build = build_lobell_polytope if args.family == LOBELL else build_fibonacci_polytope
     p = build(args.n)
     if args.format == "json":
-        return p.to_json()
+        return p.to_json_dict()
     lines = [f"family: {p.family}", f"n: {p.n}",
              f"vertices: {len(p.vertices)}", f"faces: {len(p.faces)}"]
     index_to_label = {fi: lab for lab, fi in p.face_labels.items()}
@@ -133,16 +137,15 @@ def _run_build_polytope(args) -> str:
     return "\n".join(lines)
 
 
-def _run_color(parser, args) -> str:
+def _run_color(parser, args) -> Document:
     if args.family != LOBELL:
         parser.error("colorings apply to the Löbell family only")
     colorings = enumerate_colorings(build_lobell_polytope(args.n), limit=args.limit)
     if not colorings:
         raise ValueError(f"no valid coloring of R({args.n}) within the given limit")
     if args.format == "json":
-        if args.limit == 1:
-            return colorings[0].to_json()
-        return json.dumps([c.to_json_dict() for c in colorings], indent=2) + "\n"
+        docs = [c.to_json_dict() for c in colorings]
+        return docs[0] if args.limit == 1 else docs
     blocks = []
     for k, c in enumerate(colorings):
         rows = [f"coloring {k}:"] if args.limit != 1 else []
@@ -151,17 +154,17 @@ def _run_color(parser, args) -> str:
     return "\n".join(blocks)
 
 
-def _run_presentation(args) -> str:
+def _run_presentation(args) -> Document:
     if args.family == LOBELL:
         pres = presentation_G(args.n)
     else:
         if args.n < 4:  # the family starts at Y(4), as in every other subcommand
             raise ValueError("capped antiprism needs n >= 4")
         pres = presentation_F2(2 * args.n)
-    return pres.to_json() if args.format == "json" else pres.as_text()
+    return pres.to_json_dict() if args.format == "json" else pres.as_text()
 
 
-def _run_triangulate(parser, args) -> str:
+def _run_triangulate(parser, args) -> Document:
     if args.family == LOBELL:
         tri = triangulate_lobell(_load_coloring(parser, args))
     else:
@@ -173,20 +176,17 @@ def _run_triangulate(parser, args) -> str:
     return f"family: {args.family}\nn: {args.n}\ntetrahedra: {tri.tet_count}"
 
 
-def _run_verify(args) -> tuple[str, int]:
+def _run_verify(args) -> tuple[Document, int]:
     tri = import_triangulation(Path(args.file).read_text(encoding="utf-8"))
     report = verify_triangulation(tri)
-    if args.format == "json":
-        document = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    else:
-        document = report.summary()
+    document = report.to_json_dict() if args.format == "json" else report.summary()
     return document, 0 if report.ok else 1
 
 
-def _run_volume(args) -> str:
+def _run_volume(args) -> Document:
     result = lobell_volume(args.n) if args.family == LOBELL else fibonacci_volume(args.n)
     if args.format == "json":
-        return result.to_json()
+        return result.to_json_dict()
     lines = [
         f"family: {args.family}",
         f"n: {args.n}",
@@ -197,12 +197,14 @@ def _run_volume(args) -> str:
     return "\n".join(lines)
 
 
-def _run_bounds(args) -> str:
+def _run_bounds(args) -> Document:
     report = bounds_report(args.family, args.n)
-    return report.to_json() if args.format == "json" else report.as_text()
+    return report.to_json_dict() if args.format == "json" else report.as_text()
 
 
-def _emit(document: str, out: Optional[str]) -> None:
+def _emit(document: Document, out: Optional[str]) -> None:
+    if not isinstance(document, str):
+        document = json.dumps(document, indent=2)
     if not document.endswith("\n"):
         document += "\n"
     if out:

@@ -106,9 +106,6 @@ class FaceColoring:
             "colors": {str(lab): col.name for lab, col in sorted(self.colors.items())},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
     @staticmethod
     def from_json(text: str) -> "FaceColoring":
         try:
@@ -354,9 +351,6 @@ class GroupPresentation:
             "generators": list(self.generators),
             "relators": [[[g, e] for g, e in w] for w in self.relators],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     def as_text(self) -> str:
         def word(w: Word) -> str:

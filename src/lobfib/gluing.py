@@ -143,6 +143,10 @@ class GluedComplex:
     signs: list[int]
     pairing: FacePairing
 
+    def __post_init__(self) -> None:
+        if len(self.signs) != self.copies or any(s not in (1, -1) for s in self.signs):
+            raise StructureError(f"signs {self.signs} are not one +-1 per copy")
+
     @property
     def copies(self) -> int:
         return len(self.polytopes)
@@ -239,8 +243,9 @@ class EdgeCycle:
 def edge_cycles(gc: GluedComplex) -> list[EdgeCycle]:
     """All quotient edge classes of the complex.
 
-    Raises StructureError when a vertex bijection fails to carry an edge to
-    an edge or when a cycle closes with its endpoints exchanged.
+    Raises StructureError when a match names a slot outside the complex,
+    when a vertex bijection fails to carry an edge to an edge, or when a
+    cycle closes with its endpoints exchanged.
     """
     tables = _once_each(dart_table, gc.polytopes)
     runs = _once_each(_faces_along, tables)
@@ -276,6 +281,7 @@ def edge_cycles(gc: GluedComplex) -> list[EdgeCycle]:
                     f"face slot {slot} on the cycle through {edges[0]} is unmatched"
                 )
             (cj, fj), vmap, name, direction = gc.pairing.transport(slot)
+            _check_slot(gc, (cj, fj), name)
             try:
                 u2, v2 = vmap[u], vmap[v]
             except KeyError as missing:
@@ -510,13 +516,20 @@ def _manifold_report(
     )
 
 
+def _check_slot(gc: GluedComplex, slot: Slot, name: str) -> None:
+    """Raise StructureError unless slot, named by match name, is a face of a
+    copy of gc."""
+    ci, fi = slot
+    if not (0 <= ci < gc.copies and 0 <= fi < len(gc.polytopes[ci].faces)):
+        raise StructureError(f"match {name} references a missing face slot")
+
+
 def _match_turn(gc: GluedComplex, m: FaceMatch) -> int:
     """+1 if m carries its source face's cycle along its target face's, -1
     if against it, 0 if both (as on faces of fewer than 3 vertices); raises
     StructureError when m is no cycle-preserving bijection of two faces."""
-    for ci, fi in (m.source, m.target):
-        if not (0 <= ci < gc.copies and 0 <= fi < len(gc.polytopes[ci].faces)):
-            raise StructureError(f"match {m.name} references a missing face slot")
+    _check_slot(gc, m.source, m.name)
+    _check_slot(gc, m.target, m.name)
     src = gc.polytopes[m.source[0]].faces[m.source[1]]
     tgt = gc.polytopes[m.target[0]].faces[m.target[1]]
     if set(m.vertex_map.keys()) != set(src) or set(m.vertex_map.values()) != set(tgt):

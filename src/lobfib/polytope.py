@@ -38,7 +38,6 @@ Y(5) is the regular icosahedron.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -100,9 +99,6 @@ class CombinatorialPolytope:
             "faces": [list(f) for f in self.faces],
             "faceLabels": dict(self.face_labels),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +227,15 @@ def _signed_components(count: int, triples: Iterable[tuple[int, int, int]]) -> t
     return consistent, components
 
 
-def validate_polytope(p: CombinatorialPolytope, family: Optional[str] = None) -> CheckReport:
+def validate_polytope(p: CombinatorialPolytope) -> CheckReport:
     """Check the structural invariants of a polytope boundary.
 
     Generic checks: every face is a simple cycle, every edge lies in exactly
     two faces, Euler characteristic V - E + F = 2, and the face-adjacency
-    graph is connected.  In Lobell mode the combinatorial Andreev conditions
-    used downstream are added (all vertices trivalent, all faces with at
-    least 5 sides); in Fibonacci mode all faces must be triangles.
+    graph is connected.  When p.family is Lobell the combinatorial Andreev
+    conditions used downstream are added (all vertices trivalent, all faces
+    with at least 5 sides); when it is Fibonacci all faces must be triangles.
     """
-    fam = family if family is not None else p.family
     checks: list[tuple[str, bool, str]] = []
 
     bad_faces = [fi for fi, f in enumerate(p.faces) if len(set(f)) != len(f) or len(f) < 3]
@@ -259,13 +254,13 @@ def validate_polytope(p: CombinatorialPolytope, family: Optional[str] = None) ->
     joined = ((*pair, 0) for pair in p.adjacent_face_pairs())
     checks.append(("face_graph_connected", _signed_components(len(p.faces), joined)[1] <= 1, ""))
 
-    if fam == LOBELL:
+    if p.family == LOBELL:
         degs = Counter(w for edge in edges for w in edge)
         nontriv = {w: degs[w] for w in p.vertices if degs[w] != 3}
         checks.append(("trivalent", not nontriv, f"non-trivalent: {nontriv}"))
         small = [fi for fi, fc in enumerate(p.faces) if len(fc) < 5]
         checks.append(("faces_at_least_pentagons", not small, f"faces with < 5 sides: {small}"))
-    elif fam == FIBONACCI:
+    elif p.family == FIBONACCI:
         nontri = [fi for fi, fc in enumerate(p.faces) if len(fc) != 3]
         checks.append(("faces_triangles", not nontri, f"non-triangles: {nontri}"))
 

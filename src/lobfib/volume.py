@@ -42,7 +42,6 @@ At n = 4 the angle a is exactly pi/3 and the volume collapses to 4 L(pi/6).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -157,9 +156,6 @@ class VolumeResult:
             "errorBound": self.error_bound,
             "parameters": dict(self.parameters),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 # the volume stays below 16 n, so it cannot overflow while n is at most

@@ -216,7 +216,7 @@ class TestRatioTrends:
         report = bounds_report("lobell", n)
         assert report.ratios["volumeOverV3Upper"] == pytest.approx(10 / 64, rel=1e-12)
         assert "volume / (v3 * upper)  0.156250000" in report.as_text().splitlines()
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_json_dict(), indent=2))
         assert doc["ratios"]["volumeOverV3Upper"] == pytest.approx(10 / 64, rel=1e-12)
 
     def test_fibonacci_ratio_is_two_thirds(self):

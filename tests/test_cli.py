@@ -1,6 +1,8 @@
 """End-to-end command-line tests: every subcommand through a real process,
-the triangulate-then-verify pipeline, determinism, and exit codes."""
+the triangulate-then-verify pipeline, determinism, exit codes, and the exact
+bytes of every JSON document the CLI writes."""
 
+import hashlib
 import json
 import os
 import re
@@ -11,13 +13,16 @@ from pathlib import Path
 import pytest
 
 import lobfib
+from lobfib import cli
 
-# children import the same lobfib as this process, with or without PYTHONPATH
+# children import the same lobfib as this process, with or without PYTHONPATH,
+# and fail on any warning, as the tests in this process do
 CHILD_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(lobfib.__file__).parents[1]), os.environ.get("PYTHONPATH")])
     ),
+    "PYTHONWARNINGS": "error",
 }
 
 
@@ -131,6 +136,53 @@ class TestDeterminism:
         to_stdout = run("volume", "--family", "fibonacci", "--n", "4", "--format", "json")
         assert to_file.returncode == to_stdout.returncode == 0
         assert path.read_text() == to_stdout.stdout
+
+
+# sha256 of each JSON document the CLI writes, one command per kind of document
+JSON_DIGESTS = {
+    "build-polytope --family lobell --n 6":
+        "9770ab95f1622c8e6f15944a093d062ba7e66db29a7c8fe4d308ebfc2b2d3a71",
+    "build-polytope --family fibonacci --n 5":
+        "d2286082c9d8601cf70af9bf8a9bcc716446256592315bd34dad5204ffaa3d87",
+    "color --family lobell --n 6":
+        "fcda17eb3b112a8c717c414e3f4aa2d4ceba57e7f78947a39c6be6ba493af193",
+    "color --family lobell --n 6 --limit 3":
+        "d771da2f2e993ef8c1703e2ee9a238198f025bb824263e57fea36e0f9d8df1fa",
+    "presentation --family lobell --n 6":
+        "6f26a4700586fa00f550f1d7cce36076582e237e744b91f0ea9b9bf9c13046e6",
+    "presentation --family fibonacci --n 5":
+        "33c4a8fa2c164cbaf4f1ffdcb5b532c5d13a3ea4ddb9a83e94136a2dc83dd603",
+    "volume --family lobell --n 6 --format json":
+        "ff4b40a4b20b2fa42fc36e1605c5b7a92cd4b861215f7d0a7797acf174ba17cc",
+    "volume --family fibonacci --n 5 --format json":
+        "b09ab735e0b978e8a353874b4c75b61adfde84a58e4285629310357d2874d170",
+    "bounds --family lobell --n 6 --format json":
+        "92c5c0f4619d3f63597e863bb59a5bc28288ad6c2d007349f54f4a1b195baae8",
+    "bounds --family fibonacci --n 5 --format json":
+        "c52c7750352dbd4864a54481c0dfe5e0a709c4ed7207c53d567a8a4483112ec7",
+}
+
+
+class TestJsonBytes:
+    """Each JSON document, written in this process by cli.main, has fixed
+    bytes: a change of key order, indent, float repr or final newline shows
+    here."""
+
+    @pytest.mark.parametrize("command", JSON_DIGESTS)
+    def test_document_bytes(self, capsys, command):
+        assert cli.main(command.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            JSON_DIGESTS[command]
+        )
+
+    def test_verify_report_bytes(self, capsys, tmp_path):
+        table = tmp_path / "fib5.json"
+        assert cli.main(["triangulate", "--family", "fibonacci", "--n", "5",
+                         "--out", str(table)]) == 0
+        assert cli.main(["verify", "--file", str(table), "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "2c5229ca68c9885453bb7f032c3670859fdf6fef4f3bb97452fb984927355c31"
+        )
 
 
 class TestSubcommandOutput:

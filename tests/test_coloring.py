@@ -305,7 +305,7 @@ class TestColoringSerialization:
 
     def test_round_trip(self):
         c = known_lobell6_coloring()
-        back = FaceColoring.from_json(c.to_json())
+        back = FaceColoring.from_json(json.dumps(c.to_json_dict(), indent=2))
         assert back.n == c.n and back.colors == c.colors
 
     def test_json_fields(self):

@@ -224,3 +224,24 @@ class TestBrokenStructures:
         p = build_fibonacci_polytope(4)
         with pytest.raises(StructureError, match="unmatched"):
             edge_cycles(GluedComplex([p], [1], FacePairing([])))
+
+    @pytest.mark.parametrize(
+        "target", ((1, 8), (-1, 8), (0, 99), (0, -1)),
+        ids=("copy-1", "copy-minus-1", "face-99", "face-minus-1"),
+    )
+    def test_match_to_a_missing_slot_raises(self, target):
+        """A copy or face index outside Y(4), negative ones included (Python
+        would read them from the end), names no slot for edge_cycles to
+        walk into."""
+        gc = assemble_fibonacci(4)
+        s1, *rest = gc.pairing.matches
+        moved = FaceMatch(s1.name, s1.source, target, s1.vertex_map)
+        gc = GluedComplex(gc.polytopes, gc.signs, FacePairing([moved, *rest]))
+        with pytest.raises(StructureError, match="^match s1 references a missing face slot$"):
+            edge_cycles(gc)
+
+    @pytest.mark.parametrize("signs", ([], [1, 1], [0], [2]))
+    def test_signs_other_than_one_unit_per_copy_rejected(self, signs):
+        gc = assemble_fibonacci(4)
+        with pytest.raises(StructureError, match="not one \\+-1 per copy"):
+            GluedComplex(gc.polytopes, signs, gc.pairing)
