@@ -140,6 +140,8 @@ def _run_build_polytope(args) -> Document:
 def _run_color(parser, args) -> Document:
     if args.family != LOBELL:
         parser.error("colorings apply to the Löbell family only")
+    if args.limit < 1:
+        parser.error(f"--limit must be at least 1, got {args.limit}")
     colorings = enumerate_colorings(build_lobell_polytope(args.n), limit=args.limit)
     if not colorings:
         raise ValueError(f"no valid coloring of R({args.n}) within the given limit")

@@ -9,7 +9,10 @@ Gluings must be mutually inverse.  The JSON serialization is
 
     {"tetCount": N, "gluings": [[[t', f', [p0, p1, p2, p3]], ...x4], ...xN]}
 
-with an entry of null for an unglued face.
+with an entry of null for an unglued face.  export_triangulation writes it
+from one fixed template per entry, and its bytes equal those of
+json.dumps(..., indent=2) plus a newline; import_triangulation reads it with
+json.loads.
 
 triangulate fans every face of a GluedComplex and cones each copy from the
 vertex apex, or from a fresh vertex apex<copy>: one tetrahedron [cone,
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Optional
 
 from .coloring import FaceColoring
@@ -90,9 +93,61 @@ class Triangulation:
 # serialization
 # ---------------------------------------------------------------------------
 
+# the export's fixed templates: a glued entry and an unglued one, indented
+# as json.dumps(..., indent=2) indents them at depth 3
+_ENTRY = (
+    "      [\n        %d,\n        %d,\n        [\n"
+    "          %d,\n          %d,\n          %d,\n          %d\n        ]\n      ]"
+)
+_NULL = "      null"
+
+
+def _writable(rows: list) -> bool:
+    """Whether rows have the shape the constructor builds from ints: lists of
+    4 entries, each None or a (t', f', perm) tuple with a 4-tuple perm, all of
+    type int.  The templates write exactly these as json does; %d would write
+    a bool or a float as another number.  Checked a layer at a time with
+    set(map(...)), so no Python code runs per int."""
+    if not {*map(type, rows)} <= {list} or not {*map(len, rows)} <= {4}:
+        return False
+    glued = [entry for row in rows for entry in row if entry is not None]
+    if not {*map(type, glued)} <= {tuple} or not {*map(len, glued)} <= {3}:
+        return False
+    items = list(chain.from_iterable(glued))  # t', f', perm of each entry in turn
+    perms = items[2::3]
+    if not {*map(type, perms)} <= {tuple} or not {*map(len, perms)} <= {4}:
+        return False
+    return {
+        *map(type, items[0::3]), *map(type, items[1::3]), *map(type, chain.from_iterable(perms))
+    } <= {int}
+
+
 def export_triangulation(tri: Triangulation) -> str:
-    # json writes the gluing tuples as arrays
-    return json.dumps({"tetCount": tri.tet_count, "gluings": tri.gluings}, indent=2) + "\n"
+    """The JSON form, written from the fixed templates _ENTRY and _NULL; its
+    bytes equal json.dumps({"tetCount": N, "gluings": ...}, indent=2) + "\\n".
+
+    Raises TriangulationFormatError, and writes nothing, unless every row
+    holds 4 entries, each None or a (t', f', perm) tuple with a 4-tuple perm,
+    all of type int.
+    """
+    rows = tri.gluings
+    if not _writable(rows):
+        raise TriangulationFormatError(
+            "cannot write gluings: each tetrahedron needs 4 entries, each None "
+            "or (tet, face, perm) with 4 items in perm, all of type int"
+        )
+    if not rows:
+        return '{\n  "tetCount": 0,\n  "gluings": []\n}\n'
+    body = ",\n".join([
+        "    [\n%s\n    ]" % ",\n".join([
+            _NULL if entry is None else _ENTRY % (entry[0], entry[1], *entry[2])
+            for entry in row
+        ])
+        for row in rows
+    ])
+    # join sizes the text once; % would grow its buffer while copying the
+    # megabytes of body in (Löbell pipeline peak RSS +4 %)
+    return "".join(('{\n  "tetCount": %d,\n  "gluings": [\n' % len(rows), body, "\n  ]\n}\n"))
 
 
 def import_triangulation(text: str) -> Triangulation:

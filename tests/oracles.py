@@ -27,10 +27,13 @@ library so that agreement is evidence, not tautology:
 * triangulate_lobell and triangulate_fibonacci are the library's two
   bespoke triangulators as they were before the one triangulate, with
   their family-specific wall and slot bookkeeping.
+* export_triangulation_oracle is the library's export as it was before
+  the fixed template: json's own indenting writer.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Iterable, Optional
 
@@ -1040,3 +1043,12 @@ def triangulate_lobell(c: FaceColoring) -> Triangulation:
                     gluings[ta][0] = (tb, 0, (0, 1, 2, 3))
                     gluings[tb][0] = (ta, 0, (0, 1, 2, 3))
     return Triangulation(gluings, labels=labels)
+
+
+# ---------------------------------------------------------------------------
+# the json.dumps export
+# ---------------------------------------------------------------------------
+
+def export_triangulation_oracle(tri: Triangulation) -> str:
+    """The gluing table as json.dumps writes it with indent=2, plus a newline."""
+    return json.dumps({"tetCount": tri.tet_count, "gluings": tri.gluings}, indent=2) + "\n"

@@ -160,6 +160,10 @@ JSON_DIGESTS = {
         "92c5c0f4619d3f63597e863bb59a5bc28288ad6c2d007349f54f4a1b195baae8",
     "bounds --family fibonacci --n 5 --format json":
         "c52c7750352dbd4864a54481c0dfe5e0a709c4ed7207c53d567a8a4483112ec7",
+    "triangulate --family lobell --n 5 --format json":
+        "ccd5b62d4241456429b08a48151a0958138917c9a2a6ae2d464f14c9571eee4f",
+    "triangulate --family fibonacci --n 4 --format json":
+        "484ae18a0d445b5a9d48d1532985977457a6baf890ceb9e6ad07d580b4dd0519",
 }
 
 
@@ -410,3 +414,14 @@ class TestExitCodes:
         result = run(*argv)
         assert result.returncode == 2, f"{argv}: {result.stderr}"
         assert result.stderr != ""
+
+    @pytest.mark.parametrize("limit", ("0", "-1"))
+    def test_color_limit_below_1_exits_2(self, capsys, limit):
+        """R(5) has 240 valid colorings, so a limit below 1 is refused as a
+        usage error rather than reported as a search that found none."""
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["color", "--family", "lobell", "--n", "5", "--limit", limit])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: --limit must be at least 1, got {limit}\n")

@@ -2,9 +2,11 @@
 quotient cell counts, JSON round trips, and detection of damaged tables."""
 
 import hashlib
+import random
 
 import pytest
 
+from oracles import export_triangulation_oracle
 from lobfib.coloring import GROUP8, canonical_coloring, group_index, known_lobell6_coloring
 from lobfib.polytope import build_fibonacci_polytope, build_lobell_polytope
 from lobfib.triangulation import (
@@ -20,6 +22,35 @@ from lobfib.triangulation import (
 
 def lobell_triangulation(n: int) -> Triangulation:
     return triangulate_lobell(canonical_coloring(build_lobell_polytope(n)))
+
+
+def fibonacci5_with_an_unglued_pair() -> Triangulation:
+    """Y(5) coned from Q with face 1 of tetrahedron 0 and its partner, face 2
+    of tetrahedron 5, unglued: a null between glued entries in both rows."""
+    tri = triangulate_fibonacci(5)
+    t2, f2, _ = tri.gluings[0][1]
+    tri.gluings[0][1] = tri.gluings[t2][f2] = None
+    return tri
+
+
+def random_table(rng: random.Random) -> Triangulation:
+    """0-6 tetrahedra whose faces are unglued or glued at random, damaged
+    entries included: tetrahedra and faces out of range, perms that are no
+    permutation, negative and many-digit ints, gluings not mirrored."""
+    count = rng.randrange(7)
+
+    def index(bound: int) -> int:
+        return rng.choice((
+            rng.randrange(bound), rng.randrange(-3, bound + 3), rng.randrange(-10**20, 10**20)
+        ))
+
+    def entry():
+        if rng.random() < 0.3:
+            return None
+        perm = rng.sample(range(4), 4) if rng.random() < 0.7 else [index(4) for _ in range(4)]
+        return (index(max(count, 1)), index(4), perm)
+
+    return Triangulation([[entry() for _ in range(4)] for _ in range(count)])
 
 
 class TestTetrahedronCounts:
@@ -210,13 +241,70 @@ class TestSerialization:
             pytest.param(lambda: triangulate_fibonacci(5), "f23f6064bc5819f2d7c8e85875a719606a8bb7287f9bf6a6094b44de561c9a57", id="fibonacci5"),
             pytest.param(lambda: Triangulation([]), "66ecea8867fa1c3043c83e2b313316f71b46a82087953f23b1ebd7a31ea5c214", id="empty"),
             pytest.param(lambda: Triangulation([[None] * 4]), "550312e249993117e685d74ca44eaaf1cf502dd1edf9ff43e5fb91a095f04545", id="unglued"),
+            pytest.param(lambda: lobell_triangulation(100), "3f3388e81e74ff6a669ecafe8414d08e1c26b6a1afb96b7c77584f99afb301f7", id="lobell100"),
+            pytest.param(lambda: triangulate_fibonacci(2000), "d48358048f0b15185c4797bdb645805ce847351ebfbb5362af1232c8ac626577", id="fibonacci2000"),
+            pytest.param(fibonacci5_with_an_unglued_pair, "e7c9f3364c1ac58fbcc82a2a21facee1a0c4e510739efd6495b5a05eaf3071bf", id="fibonacci5-unglued-pair"),
         ),
     )
     def test_export_bytes_are_frozen(self, build, digest):
         """Indentation, separators and entry order of the export are part of
-        the format: these digests pin its exact bytes."""
+        the format: these digests, taken from json.dumps(..., indent=2),
+        pin its exact bytes."""
         text = export_triangulation(build())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_export_matches_json_dumps(self, seed):
+        """The template writer and json.dumps(..., indent=2) write the same
+        bytes for any table of ints, whatever its gluings mean."""
+        tri = random_table(random.Random(seed))
+        assert export_triangulation(tri) == export_triangulation_oracle(tri)
+
+    @pytest.mark.parametrize(
+        "entry",
+        (
+            (True, 0, (0, 1, 2, 3)),
+            (0, False, (0, 1, 2, 3)),
+            (0, 0, (0, True, 2, 3)),
+            (1.0, 0, (0, 1, 2, 3)),
+            (0, 0, (0, 1, 2.0, 3)),
+            (0, 0, (0, 1, 2, 3.5)),
+        ),
+        ids=("bool-tet", "bool-face", "bool-perm", "float-tet", "float-perm", "fractional-perm"),
+    )
+    def test_export_refuses_non_int_entries(self, entry):
+        """The constructor takes bools and floats, which json writes as true
+        and 1.0 but %d would write as 1: the writer refuses them instead."""
+        tri = Triangulation([[entry, None, None, None]])
+        with pytest.raises(TriangulationFormatError, match="all of type int"):
+            export_triangulation(tri)
+
+    @pytest.mark.parametrize(
+        "entry",
+        (
+            1, "1", [1, 2, (0, 2, 1, 3)], (1, 2), (1, 2, (0, 2, 1, 3), 0),
+            (1, 2, 3), (1, 2, [0, 2, 1, 3]), (1, 2, (0, 2, 1)), (1, 2, (0, 2, 1, 3, 0)),
+        ),
+        ids=(
+            "int", "str", "list", "two-items", "four-items",
+            "int-perm", "list-perm", "three-item-perm", "five-item-perm",
+        ),
+    )
+    def test_export_refuses_entries_edited_out_of_shape(self, entry):
+        """An entry set after construction to anything but None or a
+        (t', f', perm) tuple with a 4-tuple perm is refused rather than
+        written with bytes that may differ from json's."""
+        tri = triangulate_fibonacci(4)
+        tri.gluings[0][1] = entry
+        with pytest.raises(TriangulationFormatError, match="cannot write gluings"):
+            export_triangulation(tri)
+
+    @pytest.mark.parametrize("length", (0, 3, 5))
+    def test_export_refuses_rows_edited_out_of_shape(self, length):
+        tri = triangulate_fibonacci(4)
+        tri.gluings[0] = (tri.gluings[0] * 2)[:length]
+        with pytest.raises(TriangulationFormatError, match="cannot write gluings"):
+            export_triangulation(tri)
 
     def test_constructor_rejects_short_rows(self):
         with pytest.raises(TriangulationFormatError, match="3 face entries instead of 4"):
