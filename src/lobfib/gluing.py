@@ -10,20 +10,20 @@ quotient cell structure vanishes, and the link of every quotient vertex is a
 match reverses the induced boundary orientation.
 verify_closed_manifold checks all of that and reports per-item results,
 naming every edge glued to itself in reverse.  Both verifiers count their
-components with polytope._signed_components and end in _manifold_report,
-which runs the quotient_cells core, writes the lines of an empty or
-disconnected quotient and of edges glued to themselves in reverse, and
-builds the ManifoldReport.  quotient_cells runs flat-list union-finds over
-integer ids; here each copy numbers its vertices and darts (directed edges)
-from offsets into the dart table of its polytope, built once per polytope
-object, so that dart d reverses to d ^ 1.  A dart is also the corner of its
-tail's link disk, so one union-find gives the link vertices and the quotient
-edges, an edge being the pair {class of d, class of d ^ 1}.  A link's disks
-are one vertex class, so it is connected by construction.  Orientability
-comes from the same tables: a match's turn is +1 if it carries its source
-face's cycle along its target face's and -1 if against it, and with s the
-face's sign in its copy's boundary orientation times the copy's sign, the
-match is orientation-incompatible iff turn * s(source) == s(target).
+components with polytope._signed_components and end in the one report
+builder _manifold_report, which runs flat-list union-finds over integer
+vertex and dart (directed edge) ids and builds the ManifoldReport.  Dart d
+reverses to d ^ 1: here each copy numbers its vertices and darts from
+offsets into the dart table of its polytope, built once per polytope
+object, and verify_triangulation numbers tetrahedron t's darts 12t + k.  A
+dart is also the corner of its tail's link disk, so one union-find gives
+the link vertices and the quotient edges, an edge being the pair {class of
+d, class of d ^ 1}.  A link's disks are one vertex class, so it is
+connected by construction.  Orientability comes from the same tables: a
+match's turn is +1 if it carries its source face's cycle along its target
+face's and -1 if against it, and with s the face's sign in its copy's
+boundary orientation times the copy's sign, the match is
+orientation-incompatible iff turn * s(source) == s(target).
 
 Two assemblies are provided.
 
@@ -325,75 +325,6 @@ def edge_cycles(gc: GluedComplex) -> list[EdgeCycle]:
 # manifold verification
 # ---------------------------------------------------------------------------
 
-def quotient_cells(
-    sides_at: list[int],
-    dart_tail: list[int],
-    dart_rev: list[int],
-    identifications: list[tuple],
-    loose_sides: list[int],
-    open_vertices: list[int],
-) -> tuple[int, int, list[tuple[int, int, int, bool]], list[int]]:
-    """Quotient vertices, edges and vertex links, the core of both verifiers.
-
-    Vertex v's link disk has sides_at[v] sides; dart d leaves vertex
-    dart_tail[d] (-1 for an id that is no dart) and reverses to dart_rev[d].
-    Each identification (vertex offset, vertex offset, dart offset, dart
-    offset, vertex pairs, dart pairs) unions its pairs of local ids in order,
-    the root of the second id going under the root of the first.
-    loose_sides holds the vertex of each link side glued to nothing or to
-    itself, open_vertices each vertex with a side glued to nothing.
-
-    Returns (vertices, edges, links, invalid darts): per vertex class, in
-    the order of the class roots, (least vertex id, disks, Euler
-    characteristic, closed); and the least dart of each edge glued to itself
-    in reverse.
-    """
-    vparent = list(range(len(sides_at)))
-    dparent = list(range(len(dart_tail)))
-    for va, vb, da, db, vertex_pairs, dart_pairs in identifications:
-        for x, y in vertex_pairs:
-            x, y = _root(vparent, va + x), _root(vparent, vb + y)
-            if x != y:
-                vparent[y] = x
-        for x, y in dart_pairs:
-            x, y = _root(dparent, da + x), _root(dparent, db + y)
-            if x != y:
-                dparent[y] = x
-
-    vroot = [_root(vparent, v) for v in range(len(vparent))]
-    droot = [_root(dparent, d) for d in range(len(dparent))]
-    count = len(vroot)
-    disks, least, sides, corners = [0] * count, [0] * count, [0] * count, [0] * count
-    for v, r in enumerate(vroot):
-        if not disks[r]:
-            least[r] = v
-        disks[r] += 1
-        sides[r] += sides_at[v]
-    for v in loose_sides:  # a loose side is a link edge on its own
-        sides[vroot[v]] += 1
-
-    dart_classes = 0
-    invalid: dict[int, int] = {}  # root -> least dart, for each collapsed class
-    for d, tail in enumerate(dart_tail):
-        if tail < 0:
-            continue
-        r = droot[d]
-        if r == d:
-            dart_classes += 1
-            corners[vroot[tail]] += 1
-        if droot[dart_rev[d]] == r:
-            invalid.setdefault(r, d)
-    edges = (dart_classes + len(invalid)) // 2
-
-    opened = {vroot[v] for v in open_vertices}
-    links = [
-        (least[r], disks[r], disks[r] - sides[r] // 2 + corners[r], r not in opened)
-        for r in range(count)
-        if vroot[r] == r
-    ]
-    return len(links), edges, links, list(invalid.values())
-
-
 @dataclass
 class VertexLinkReport:
     """Surface assembled from the vertex's corner disks, one per cell."""
@@ -485,33 +416,86 @@ class ManifoldReport:
 
 
 def _manifold_report(
-    quotient: tuple, cells: int, faces: int, closed: bool, orientable: bool,
-    components: int, problems: list[str],
+    sides_at: list[int], dart_tail: list[int], identifications: list[tuple],
+    loose_sides: list[int], open_vertices: list[int],
+    cells: int, faces: int, closed: bool, orientable: bool, components: int,
+    problems: list[str],
     link_vertex: Callable[[int], tuple], reversed_edge: Callable[[int], str],
 ) -> ManifoldReport:
-    """The report of both verifiers: quotient_cells(*quotient) gives the
-    quotient vertices, edges and links, link_vertex names a link's least
-    vertex id and reversed_edge an edge's least dart.  problems, found so
-    far, gains the line of an empty or disconnected quotient, then one line
-    per edge glued to itself in reverse."""
-    vertices, edges, links, invalid = quotient_cells(*quotient)
+    """The report of both verifiers, from flat-list union-finds over vertex
+    and dart ids.  Vertex v's link disk has sides_at[v] sides, and dart d
+    leaves vertex dart_tail[d] and reverses to d ^ 1.  Each identification
+    (vertex offset, vertex offset, dart offset, dart offset, vertex pairs,
+    dart pairs) unions its pairs of local ids in order, the root of the
+    second id going under the root of the first, and a dart pair (x, y) also
+    x ^ 1 with y ^ 1, so every dart offset is even.  loose_sides holds the
+    vertex of each link side glued to nothing or to itself, open_vertices
+    each vertex with a side glued to nothing.  Links come in the order of
+    their class roots, named by link_vertex(least vertex id).  problems,
+    found so far, gains the line of an empty or disconnected quotient, then
+    one line per edge glued to itself in reverse, named by
+    reversed_edge(least dart), in the order of those darts."""
+    vparent = list(range(len(sides_at)))
+    dparent = list(range(len(dart_tail)))
+    for va, vb, da, db, vertex_pairs, dart_pairs in identifications:
+        for x, y in vertex_pairs:
+            x, y = _root(vparent, va + x), _root(vparent, vb + y)
+            if x != y:
+                vparent[y] = x
+        for x, y in dart_pairs:
+            x, y = da + x, db + y
+            rx, ry = _root(dparent, x), _root(dparent, y)
+            if rx != ry:
+                dparent[ry] = rx
+            rx, ry = _root(dparent, x ^ 1), _root(dparent, y ^ 1)
+            if rx != ry:
+                dparent[ry] = rx
+
+    vroot = [_root(vparent, v) for v in range(len(vparent))]
+    droot = [_root(dparent, d) for d in range(len(dparent))]
+    count = len(vroot)
+    disks, least, sides, corners = [0] * count, [0] * count, [0] * count, [0] * count
+    for v, r in enumerate(vroot):
+        if not disks[r]:
+            least[r] = v
+        disks[r] += 1
+        sides[r] += sides_at[v]
+    for v in loose_sides:  # a loose side is a link edge on its own
+        sides[vroot[v]] += 1
+
+    dart_classes = 0
+    invalid: dict[int, int] = {}  # root -> least dart, for each collapsed class
+    for d, r in enumerate(droot):
+        if r == d:
+            dart_classes += 1
+            corners[vroot[dart_tail[d]]] += 1
+        if droot[d ^ 1] == r:
+            invalid.setdefault(r, d)
+    edges = (dart_classes + len(invalid)) // 2
+
+    opened = {vroot[v] for v in open_vertices}
+    links = [
+        VertexLinkReport(
+            link_vertex(least[r]), disks[r], disks[r] - sides[r] // 2 + corners[r],
+            True, r not in opened,
+        )
+        for r in range(count)
+        if vroot[r] == r
+    ]
     if components == 0:
         problems.append("quotient is empty")
     elif components > 1:
         problems.append(f"quotient is disconnected: {components} components")
-    problems += [f"{reversed_edge(d)} is glued to itself in reverse" for d in invalid]
+    problems += [f"{reversed_edge(d)} is glued to itself in reverse" for d in invalid.values()]
     return ManifoldReport(
         cells=cells,
-        quotient_vertices=vertices,
+        quotient_vertices=len(links),
         quotient_edges=edges,
         quotient_faces=faces,
-        euler_characteristic=vertices - edges + faces - cells,
+        euler_characteristic=len(links) - edges + faces - cells,
         closed=closed,
         orientable=orientable,
-        vertex_links=[
-            VertexLinkReport(link_vertex(v), disks, euler, True, link_closed)
-            for v, disks, euler, link_closed in links
-        ],
+        vertex_links=links,
         problems=problems,
     )
 
@@ -589,11 +573,7 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
     for m, _ in turns:
         (ci, fi), (cj, fj) = m.source, m.target
         (_, ends, sides), dart2, vmap = tables[ci], tables[cj][0], m.vertex_map
-        dart_pairs = []
-        for d in sides[fi]:
-            v, w = ends[d]
-            d2 = dart2[vmap[v], vmap[w]]
-            dart_pairs += ((d, d2), (d ^ 1, d2 ^ 1))
+        dart_pairs = [(d, dart2[vmap[ends[d][0]], vmap[ends[d][1]]]) for d in sides[fi]]
         vertex_of, vertex2_of = gc.polytopes[ci].vertex_index, gc.polytopes[cj].vertex_index
         vertex_pairs = [(vertex_of(v), vertex2_of(w)) for v, w in vmap.items()]
         identifications.append(
@@ -637,8 +617,7 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
         return f"edge {u}-{w} of copy {ci}"
 
     return _manifold_report(
-        (sides_at, dart_tail, [d ^ 1 for d in range(len(dart_tail))],
-         identifications, loose, loose),
+        sides_at, dart_tail, identifications, loose, loose,
         gc.copies, (len(slots) - len(unmatched)) // 2 + len(unmatched),
         closed, orientable, components, problems, link_vertex, reversed_edge,
     )

@@ -56,8 +56,9 @@ class CombinatorialPolytope:
 
     ``face_labels`` maps the external face label (the numbering used in
     presentations and colorings) to the index into ``faces``.  Construction
-    performs no validation beyond basic shape, so deliberately broken
-    instances can be built and fed to :func:`validate_polytope`.
+    raises ValueError on a face naming a vertex missing from ``vertices``
+    and checks nothing else, so deliberately broken instances can be built
+    and fed to :func:`validate_polytope`.
     """
 
     family: Optional[str]
@@ -70,6 +71,10 @@ class CombinatorialPolytope:
     def __post_init__(self) -> None:
         self.faces = [tuple(f) for f in self.faces]
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        for fi, face in enumerate(self.faces):
+            for v in face:
+                if v not in self._vertex_index:
+                    raise ValueError(f"face {fi} {face} names vertex {v!r}, not in vertices")
 
     # -- derived structure --------------------------------------------------
 

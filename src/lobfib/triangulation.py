@@ -33,17 +33,20 @@ gluings are odd permutations) and that the quotient is neither empty nor
 disconnected, naming faces glued to themselves and edges glued to
 themselves in reverse.  Signs and components come from one pass of
 polytope._signed_components, each usable gluing weighted by _WEIGHT[perm].
-Like verify_closed_manifold it ends in gluing._manifold_report, handing
-each usable gluing once to quotient_cells in the ids 4t + i for vertex i of
-tetrahedron t and 16t + 4i + j for its dart from i to j, which is also the
-corner of vertex i's link towards j.
+Like verify_closed_manifold it ends in the one report builder
+gluing._manifold_report, handing it each usable gluing once in the ids
+4t + i for vertex i of tetrahedron t and 12t + k for its darts: darts 2k
+and 2k + 1 run from i to j and back along the k-th edge ij, i < j, in
+lexicographic order, so dart d reverses to d ^ 1 as every dart id in the
+package does.  The dart from i to j is also the corner of vertex i's link
+towards j.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from typing import Optional
 
 from .coloring import FaceColoring
@@ -68,21 +71,30 @@ class TriangulationFormatError(ValueError):
 
 @dataclass
 class Triangulation:
-    """Face-gluing table: gluings[t][f] describes face f of tetrahedron t."""
+    """Face-gluing table: gluings[t][f] describes face f of tetrahedron t.
+
+    The constructor turns entries and perms given as lists into tuples, and
+    raises TriangulationFormatError unless every row holds 4 entries, each
+    None or (t', f', perm) with 4 items in perm, all of type int."""
 
     gluings: list[list[Optional[Gluing]]]
     labels: Optional[list[dict]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for t, row in enumerate(self.gluings):
-            if len(row) != 4:
-                raise TriangulationFormatError(
-                    f"tetrahedron {t} has {len(row)} face entries instead of 4"
-                )
-            self.gluings[t] = [
-                None if entry is None else (entry[0], entry[1], tuple(entry[2]))
-                for entry in row
-            ]
+        rows = self.gluings
+        if _writable(rows):  # as triangulate and import_triangulation build them
+            return
+        for t, row in enumerate(rows):
+            try:  # entries and perms given as lists become tuples, of any length
+                if len(row) != 4:
+                    raise TriangulationFormatError(
+                        f"tetrahedron {t} has {len(row)} face entries instead of 4"
+                    )
+                rows[t] = [None if e is None else (*e[:-1], tuple(e[-1])) for e in row]
+            except (TypeError, IndexError, KeyError):  # a row, entry or perm that is no sequence
+                break
+        if not _writable(rows):
+            raise TriangulationFormatError(f"gluings are malformed: {_SHAPE}")
 
     @property
     def tet_count(self) -> int:
@@ -100,11 +112,15 @@ _ENTRY = (
     "          %d,\n          %d,\n          %d,\n          %d\n        ]\n      ]"
 )
 _NULL = "      null"
+_SHAPE = (  # what the constructor takes and the writer writes
+    "each tetrahedron needs 4 entries, each None or (tet, face, perm) "
+    "with 4 items in perm, all of type int"
+)
 
 
 def _writable(rows: list) -> bool:
-    """Whether rows have the shape the constructor builds from ints: lists of
-    4 entries, each None or a (t', f', perm) tuple with a 4-tuple perm, all of
+    """Whether rows have the shape the constructor ensures: lists of 4
+    entries, each None or a (t', f', perm) tuple with a 4-tuple perm, all of
     type int.  The templates write exactly these as json does; %d would write
     a bool or a float as another number.  Checked a layer at a time with
     set(map(...)), so no Python code runs per int."""
@@ -132,10 +148,7 @@ def export_triangulation(tri: Triangulation) -> str:
     """
     rows = tri.gluings
     if not _writable(rows):
-        raise TriangulationFormatError(
-            "cannot write gluings: each tetrahedron needs 4 entries, each None "
-            "or (tet, face, perm) with 4 items in perm, all of type int"
-        )
+        raise TriangulationFormatError(f"cannot write gluings: {_SHAPE}")
     if not rows:
         return '{\n  "tetCount": 0,\n  "gluings": []\n}\n'
     body = ",\n".join([
@@ -199,6 +212,7 @@ def import_triangulation(text: str) -> Triangulation:
                 raise TriangulationFormatError(
                     f"gluings[{t}][{f}] permutation {perm!r} is not a permutation of 0..3"
                 )
+            row[f] = (t2, f2, tuple(perm))
     return Triangulation(rows)
 
 
@@ -323,18 +337,22 @@ _WEIGHT = {
     for perm in _INVERSE
 }
 _ON_FACE = tuple(tuple(i for i in range(4) if i != f) for f in range(4))
+# the ends (i, j) of the darts 0..11 of a tetrahedron
+_TET_DARTS = tuple(dart for i, j in combinations(range(4), 2) for dart in ((i, j), (j, i)))
 # what gluing face f by perm identifies, in tetrahedron-local ids: the
-# vertex pairs (i, perm[i]) and the dart pairs (4i + j, 4perm[i] + perm[j])
+# vertex pairs (i, perm[i]) and, per edge i < j of the face, the dart pairs
+# ((i, j), (perm[i], perm[j]))
 _IDENTIFIED = {
     (f, p): (
         tuple((i, p[i]) for i in _ON_FACE[f]),
-        tuple((4 * i + j, 4 * p[i] + p[j]) for i in _ON_FACE[f] for j in _ON_FACE[f] if i != j),
+        tuple(
+            (_TET_DARTS.index((i, j)), _TET_DARTS.index((p[i], p[j])))
+            for i, j in combinations(_ON_FACE[f], 2)
+        ),
     )
     for f in range(4)
     for p in _INVERSE
 }
-_TET_DART_TAIL = tuple(i if i != j else -1 for i in range(4) for j in range(4))
-_TET_DART_REV = tuple(4 * j + i for i in range(4) for j in range(4))
 
 
 def _gluing_problem(tri: Triangulation, t: int, f: int) -> Optional[str]:
@@ -398,15 +416,11 @@ def verify_triangulation(tri: Triangulation) -> ManifoldReport:
             "no assignment of tetrahedron orientations makes every gluing compatible"
         )
     return _manifold_report(
-        (
-            [3] * (4 * count),
-            [4 * t + i if i >= 0 else -1 for t in range(count) for i in _TET_DART_TAIL],
-            [16 * t + d for t in range(count) for d in _TET_DART_REV],
-            [(4 * t, 4 * t2, 16 * t, 16 * t2, *_IDENTIFIED[f, perm]) for t, f, t2, perm in glued],
-            fixed + opened,
-            opened,
-        ),
+        [3] * (4 * count),
+        [4 * t + i for t in range(count) for i, _ in _TET_DARTS],
+        [(4 * t, 4 * t2, 12 * t, 12 * t2, *_IDENTIFIED[f, perm]) for t, f, t2, perm in glued],
+        fixed + opened, opened,
         count, len(glued) + len(unglued), closed, orientable, components, problems,
         lambda v: (v >> 2, v & 3),
-        lambda d: f"edge {(d >> 2) & 3}{d & 3} of tet {d >> 4}",
+        lambda d: "edge %d%d of tet %d" % (*_TET_DARTS[d % 12], d // 12),
     )

@@ -188,6 +188,32 @@ class TestJsonBytes:
             "2c5229ca68c9885453bb7f032c3670859fdf6fef4f3bb97452fb984927355c31"
         )
 
+    def test_verify_lobell_report_bytes(self, capsys, tmp_path):
+        table = tmp_path / "lob5.json"
+        assert cli.main(["triangulate", "--family", "lobell", "--n", "5",
+                         "--out", str(table)]) == 0
+        assert cli.main(["verify", "--file", str(table), "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "1abc637c443ea8354a78c331a37a8b6da5b3f65f364b90c5766b609960fcfd2a"
+        )
+
+    @pytest.mark.parametrize(
+        "form, digest",
+        (("json", "51ef97c292d85ee85d23e0a59fcc53343d8e7b8f4b719823845d57d0d34af9cc"),
+         ("text", "35eefe4fdc4240a58350856b35b49bc3bf1c063cdf822738369dd0449571f6b1")),
+    )
+    def test_verify_damaged_report_bytes(self, capsys, tmp_path, form, digest):
+        """One tetrahedron with faces 0 and 3 glued to themselves and faces
+        1 and 2 to each other, which collapses edge 12: the report's problem
+        lines, their order included, are part of its bytes."""
+        table = tmp_path / "folded.json"
+        table.write_text(json.dumps({"tetCount": 1, "gluings": [[
+            [0, 0, [0, 2, 1, 3]], [0, 2, [0, 2, 1, 3]],
+            [0, 1, [0, 2, 1, 3]], [0, 3, [0, 1, 2, 3]],
+        ]]}))
+        assert cli.main(["verify", "--file", str(table), "--format", form]) == 1
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestSubcommandOutput:
     def test_build_polytope_json(self):

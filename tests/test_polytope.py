@@ -245,6 +245,12 @@ class TestValidateBroken:
         assert report.checks == oracles.validate_polytope(p).checks
         assert p.adjacent_face_pairs() == oracles.adjacent_face_pairs(p)
 
+    def test_face_naming_a_missing_vertex_is_refused_at_construction(self):
+        """Every edge query and both verifiers index vertices by their
+        position in the vertex list, and would fail on z with a KeyError."""
+        with pytest.raises(ValueError, match=r"face 1 \('c', 'b', 'z'\) names vertex 'z'"):
+            CombinatorialPolytope(None, None, ["a", "b", "c"], [("a", "b", "c"), ("c", "b", "z")], {})
+
 
 class TestSerialization:
     """The JSON document carries exactly family, n, faces, faceLabels."""

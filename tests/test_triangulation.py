@@ -273,11 +273,11 @@ class TestSerialization:
         ids=("bool-tet", "bool-face", "bool-perm", "float-tet", "float-perm", "fractional-perm"),
     )
     def test_export_refuses_non_int_entries(self, entry):
-        """The constructor takes bools and floats, which json writes as true
-        and 1.0 but %d would write as 1: the writer refuses them instead."""
-        tri = Triangulation([[entry, None, None, None]])
+        """json writes bools and floats as true and 1.0, but %d would write
+        them as 1: the constructor refuses them, so no table of them reaches
+        the writer."""
         with pytest.raises(TriangulationFormatError, match="all of type int"):
-            export_triangulation(tri)
+            export_triangulation(Triangulation([[entry, None, None, None]]))
 
     @pytest.mark.parametrize(
         "entry",
@@ -309,6 +309,32 @@ class TestSerialization:
     def test_constructor_rejects_short_rows(self):
         with pytest.raises(TriangulationFormatError, match="3 face entries instead of 4"):
             Triangulation([[None, None, None]])
+
+    @pytest.mark.parametrize(
+        "entry",
+        (
+            (1, 2), 1, (1, 2, (0, 2, 1, 3), 0), [1, 2, [0, 2, 1, 3], 0],
+            (1.0, 2, (0, 2, 1, 3)), (1, 2, ((0, 2), 1, 3, 0)), (1, 2, [[0], 2, 1, 3]),
+        ),
+        ids=(
+            "two-items", "int", "four-items", "four-item-list",
+            "float-tet", "nested-perm", "nested-list-perm",
+        ),
+    )
+    def test_constructor_refuses_entries_out_of_shape(self, entry):
+        """Each of these once got past the constructor or failed in it with
+        an IndexError or TypeError: a fourth item was cut off, and a float
+        index or a nested perm made verify_triangulation raise."""
+        rows = triangulate_fibonacci(4).gluings
+        rows[0][1] = entry
+        with pytest.raises(TriangulationFormatError, match="gluings are malformed"):
+            Triangulation(rows)
+
+    def test_constructor_refuses_a_row_that_is_no_sequence(self):
+        rows = triangulate_fibonacci(4).gluings
+        rows[1] = 7
+        with pytest.raises(TriangulationFormatError, match="gluings are malformed"):
+            Triangulation(rows)
 
 
 class TestDamageDetection:

@@ -5,6 +5,9 @@ on every hand-broken input of test_triangulation.py and test_gluing.py, on
 complexes whose copies or matches break orientability, and on random
 gluings of one to three tetrahedra.  boundary_orientation, read from the
 dart table, must give the signs and errors of the frozenset-keyed one.
+The report bytes of 1000 random closed gluings of one to four tetrahedra
+and of the 300 random tables of test_triangulation.py are frozen as two
+digests.
 
 Two differences are allowed.  The first is the two kinds of problem line
 the old code did not write, naming an edge glued to itself in reverse or a
@@ -14,6 +17,9 @@ the old code accepted: on an input the old code accepted it must appear
 exactly when the tetrahedra or copies, joined by their gluings, form no or
 several components, and it may change the report's "ok" and nothing else."""
 
+import hashlib
+import json
+import random
 import re
 
 import pytest
@@ -21,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_triangulation import random_table
 from lobfib.coloring import canonical_coloring, known_lobell6_coloring
 from lobfib.gluing import (
     FaceMatch,
@@ -458,6 +465,13 @@ def test_negative_slot_index_is_reported(slot):
 ON_FACE = [[i for i in range(4) if i != f] for f in range(4)]
 
 
+def self_gluings(f: int) -> list[list[int]]:
+    """The images of face f's vertices under the gluings of f to itself
+    that are involutions: the identity and the three reflections."""
+    a, b, c = ON_FACE[f]
+    return [[a, b, c], [b, a, c], [c, b, a], [a, c, b]]
+
+
 def glue(gluings, t, f, t2, f2, images) -> None:
     """Glue face f of t to face f2 of t2, the vertices of face f going to
     images in order, and record the inverse gluing."""
@@ -487,12 +501,7 @@ def small_triangulations(draw):
         if kind == "open":
             k += 1
         elif kind == "self" or k + 1 == len(faces):
-            glue(gluings, t, f, t, f, draw(st.sampled_from([
-                ON_FACE[f],
-                [ON_FACE[f][1], ON_FACE[f][0], ON_FACE[f][2]],
-                [ON_FACE[f][2], ON_FACE[f][1], ON_FACE[f][0]],
-                [ON_FACE[f][0], ON_FACE[f][2], ON_FACE[f][1]],
-            ])))
+            glue(gluings, t, f, t, f, draw(st.sampled_from(self_gluings(f))))
             k += 1
         else:
             t2, f2 = faces[k + 1]
@@ -513,6 +522,52 @@ def small_triangulations(draw):
 @given(small_triangulations())
 def test_random_small_gluings(tri):
     assert_same_triangulation_report(tri)
+
+
+def random_closed_gluing(rng: random.Random) -> Triangulation:
+    """1-4 tetrahedra with every face glued: about 15 % of the faces to
+    themselves by an involution, the others in pairs by random bijections."""
+    count = rng.randint(1, 4)
+    faces = [(t, f) for t in range(count) for f in range(4)]
+    rng.shuffle(faces)
+    gluings = [[None] * 4 for _ in range(count)]
+    while faces:
+        t, f = faces.pop()
+        if not faces or rng.random() < 0.2:
+            glue(gluings, t, f, t, f, rng.choice(self_gluings(f)))
+        else:
+            t2, f2 = faces.pop()
+            glue(gluings, t, f, t2, f2, rng.sample(ON_FACE[f2], 3))
+    return Triangulation(gluings)
+
+
+def report_digest(tables) -> str:
+    """sha256 over [report.to_json_dict(), report.summary()] of each table's
+    report in turn, one JSON line each."""
+    digest = hashlib.sha256()
+    for tri in tables:
+        report = verify_triangulation(tri)
+        digest.update(json.dumps([report.to_json_dict(), report.summary()]).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "tables, digest",
+    (
+        pytest.param(
+            lambda: (random_closed_gluing(random.Random(seed)) for seed in range(1000)),
+            "166f77412f56431d8838e4fb60731f2f3f2b77cbb9d4fa80fb26a6b9faaa5155", id="closed-gluings",
+        ),
+        pytest.param(
+            lambda: (random_table(random.Random(seed)) for seed in range(300)),
+            "613a5f57be68e1804480c4c5df75f9e7ab45846ec0dd410463c961bc646772ec", id="random-tables",
+        ),
+    ),
+)
+def test_report_bytes_are_frozen(tables, digest):
+    """Every byte of the reports, problem lines in their order included,
+    which assert_same_report leaves free for the last two kinds of line."""
+    assert report_digest(tables()) == digest
 
 
 def test_triangulation_names_self_glued_faces_and_edges():
