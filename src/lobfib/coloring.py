@@ -44,8 +44,6 @@ class Z2Vector3:
     def __add__(self, other: "Z2Vector3") -> "Z2Vector3":
         return Z2Vector3(tuple((a + b) % 2 for a, b in zip(self.bits, other.bits)))
 
-    __xor__ = __add__
-
     @property
     def name(self) -> str:
         return _NAME_OF[self]

@@ -29,15 +29,19 @@ Two assemblies are provided.
 
 assemble_lobell takes a valid coloring of R(n) and glues 8 copies of R(n)
 indexed by the elements of (Z/2)^3: the face F of copy g is matched with the
-same face of copy g + color(F) by the identity on vertices.  Every edge of
-R(n) then closes up in a cycle of length 4 (the four right angles around the
-edge make a full turn), and copy g gets orientation sign (-1)^(g1+g2+g3).
+same face of copy g + color(F) by the identity on vertices.  Copies are
+addressed by coloring.group_index, under which + is ^ on the indices.  Every
+edge of R(n) then closes up in a cycle of length 4 (the four right angles
+around the edge make a full turn), and copy g gets orientation sign
+(-1)^(g1+g2+g3), the parity of its index.
 
 assemble_fibonacci glues the 4n triangles of a single copy of Y(n) in pairs
 
     s_i : F_i -> F_i*,  (Q or R, P(i+1), P(i+3)) |-> (P(i+2), P(i+3), P(i+4)),
 
-which identifies the edges in cycles of length 3, for example
+each map sending the vertices of F_i, in the order the polytope stores
+them, onto those of F_i*.  It identifies the edges in cycles of length 3,
+for example
 
     Q P(i+1) --s_i--> P(i+2) P(i+3) --s_(i-1)^-1--> P_i P(i+2)
              --s_(i-2)^-1--> Q P(i+1)          (i odd; R for even i).
@@ -55,14 +59,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .coloring import (
-    GROUP8,
-    FaceColoring,
-    Z2Vector3,
-    _label_by_index,
-    group_index,
-    validate_coloring,
-)
+from .coloring import FaceColoring, _label_by_index, group_index, validate_coloring
 from .polytope import (
     CombinatorialPolytope,
     _face_signs,
@@ -163,16 +160,13 @@ class GluedComplex:
 # the two assemblies
 # ---------------------------------------------------------------------------
 
-def lobell_copy_sign(g: Z2Vector3) -> int:
-    return -1 if sum(g.bits) % 2 else 1
-
-
 def assemble_lobell(c: FaceColoring) -> GluedComplex:
     """Glue 8 copies of R(n) along the coloring c.
 
-    Copies are indexed by (Z/2)^3 in the fixed order of GROUP8; face F of
-    copy g is identified with face F of copy g + color(F) by the identity
-    vertex map.  Raises ValueError when c is not a valid coloring.
+    Copy g is the element of (Z/2)^3 with group_index g, so face F of copy g
+    is identified with face F of copy g ^ group_index(color(F)) by the
+    identity vertex map, and copy g's sign is the parity of g.  Raises
+    ValueError when c is not a valid coloring.
     """
     p = build_lobell_polytope(c.n)
     report = validate_coloring(p, c)
@@ -183,37 +177,27 @@ def assemble_lobell(c: FaceColoring) -> GluedComplex:
     label_of = _label_by_index(p)
     matches: list[FaceMatch] = []
     for fi, face in enumerate(p.faces):
-        color = c.colors[label_of[fi]]
+        color = group_index(c.colors[label_of[fi]])
         identity = {v: v for v in face}
-        for g in GROUP8:
-            h = g + color
-            gi, hi = group_index(g), group_index(h)
-            if gi < hi:
-                matches.append(
-                    FaceMatch(f"f{label_of[fi]}:{gi}<->{hi}", (gi, fi), (hi, fi), identity)
-                )
+        for g in range(8):
+            h = g ^ color
+            if g < h:
+                matches.append(FaceMatch(f"f{label_of[fi]}:{g}<->{h}", (g, fi), (h, fi), identity))
     return GluedComplex(
         polytopes=[p] * 8,
-        signs=[lobell_copy_sign(g) for g in GROUP8],
+        signs=[(-1) ** g.bit_count() for g in range(8)],
         pairing=FacePairing(matches),
     )
 
 
 def fibonacci_pairing(p: CombinatorialPolytope) -> FacePairing:
-    """The pairing s_1..s_2n on the faces of Y(n)."""
-    n = p.n
-    assert n is not None
-
-    def pv(i: int) -> str:
-        return f"P{(i - 1) % (2 * n) + 1}"
-
+    """The pairing s_1..s_2n on the faces of Y(n): s_i carries the vertices
+    of F_i, in the face's cyclic order, onto those of F_i*."""
+    assert p.n is not None
     matches = []
-    for i in range(1, 2 * n + 1):
-        apex = "Q" if i % 2 == 1 else "R"
-        vmap = {apex: pv(i + 2), pv(i + 1): pv(i + 3), pv(i + 3): pv(i + 4)}
-        matches.append(
-            FaceMatch(f"s{i}", (0, p.face_labels[f"F{i}"]), (0, p.face_labels[f"F{i}*"]), vmap)
-        )
+    for i in range(1, 2 * p.n + 1):
+        fi, fj = p.face_labels[f"F{i}"], p.face_labels[f"F{i}*"]
+        matches.append(FaceMatch(f"s{i}", (0, fi), (0, fj), dict(zip(p.faces[fi], p.faces[fj]))))
     return FacePairing(matches)
 
 

@@ -20,8 +20,10 @@ right-angled dodecahedron.  The vertex set splits into four rings of n:
 Faces carry the numbering used by the reflection-group presentation:
 upper pentagons 1..n (pentagon i sits on the basis edge ai-a(i+1)), lower
 pentagons n+1..2n cyclically in the same verse with pentagon n+1 adjacent to
-pentagons 1 and n, upper basis 2n+1, lower basis 2n+2.  Counts: 4n vertices,
-6n edges, 2n+2 faces, every vertex trivalent.
+pentagons 1 and n, upper basis 2n+1, lower basis 2n+2.  The builder lists
+each ring's names once and the faces in this order, so the labels are
+"1".."2n+2" in face order.  Counts: 4n vertices, 6n edges, 2n+2 faces,
+every vertex trivalent.
 
 Fibonacci family Y(n), n >= 4.  An antiprism over a 2n-gon capped by two
 pyramids: apexes Q (joined to the even-indexed rim vertices) and R (joined to
@@ -31,9 +33,10 @@ the odd-indexed ones), rim P1..P2n.  All 4n faces are triangles:
     Fi  = (R, P(i+1), P(i+3))   for even i
     Fi* = (P(i+2), P(i+3), P(i+4))
 
-with rim subscripts taken mod 2n into 1..2n.  Counts: 2n+2 vertices, 6n
-edges, 4n faces; every rim vertex has degree 5, the apexes have degree n.
-Y(5) is the regular icosahedron.
+with rim subscripts taken mod 2n into 1..2n.  The builder lists the rim
+names once and the faces F1..F2n then F1*..F2n*, labelled in that order.
+Counts: 2n+2 vertices, 6n edges, 4n faces; every rim vertex has degree 5,
+the apexes have degree n.  Y(5) is the regular icosahedron.
 """
 
 from __future__ import annotations
@@ -115,45 +118,15 @@ def build_lobell_polytope(n: int) -> CombinatorialPolytope:
     combinatorics (trivalent vertices, all faces with >= 5 sides)."""
     if n < 5:
         raise ValueError("Andreev condition fails below n=5")
-
-    def a(i: int) -> str:
-        return f"a{(i - 1) % n + 1}"
-
-    def b(i: int) -> str:
-        return f"b{(i - 1) % n + 1}"
-
-    def c(i: int) -> str:
-        return f"c{(i - 1) % n + 1}"
-
-    def d(i: int) -> str:
-        return f"d{(i - 1) % n + 1}"
-
-    vertices = (
-        [a(i) for i in range(1, n + 1)]
-        + [b(i) for i in range(1, n + 1)]
-        + [c(i) for i in range(1, n + 1)]
-        + [d(i) for i in range(1, n + 1)]
-    )
-
-    faces: list[tuple[str, ...]] = []
-    labels: dict[str, int] = {}
-
-    # upper pentagons 1..n: pentagon i hangs from basis edge ai-a(i+1)
-    for i in range(1, n + 1):
-        faces.append((a(i), a(i + 1), b(i + 1), c(i), b(i)))
-        labels[str(i)] = len(faces) - 1
-    # lower pentagons n+1..2n: pentagon n+1+j hangs from basis edge dj-d(j+1),
-    # so that pentagon n+1 is the one adjacent to upper pentagons 1 and n
-    for j in range(0, n):
-        faces.append((d(j if j else n), d(j + 1), c(j + 1), b(j + 1), c(j if j else n)))
-        labels[str(n + 1 + j)] = len(faces) - 1
-    # the two bases
-    faces.append(tuple(a(i) for i in range(1, n + 1)))
-    labels[str(2 * n + 1)] = len(faces) - 1
-    faces.append(tuple(d(i) for i in range(1, n + 1)))
-    labels[str(2 * n + 2)] = len(faces) - 1
-
-    return CombinatorialPolytope(LOBELL, n, vertices, faces, labels)
+    a, b, c, d = rings = [[f"{ring}{i}" for i in range(1, n + 1)] for ring in "abcd"]
+    # a[i] is a(i+1): upper pentagon i+1 hangs from basis edge a(i+1)-a(i+2),
+    # lower pentagon n+1+j from dj-d(j+1) (d[-1] is dn), so that pentagon n+1
+    # is the one adjacent to upper pentagons 1 and n; then the two bases
+    faces = [(a[i], a[(i + 1) % n], b[(i + 1) % n], c[i], b[i]) for i in range(n)]
+    faces += [(d[j - 1], d[j], c[j], b[j], c[j - 1]) for j in range(n)]
+    faces += [tuple(a), tuple(d)]
+    labels = {str(fi + 1): fi for fi in range(len(faces))}
+    return CombinatorialPolytope(LOBELL, n, [v for ring in rings for v in ring], faces, labels)
 
 
 def build_fibonacci_polytope(n: int) -> CombinatorialPolytope:
@@ -161,23 +134,13 @@ def build_fibonacci_polytope(n: int) -> CombinatorialPolytope:
     Q (even rim) and R (odd rim)."""
     if n < 4:
         raise ValueError("capped antiprism needs n >= 4")
-
-    def p(i: int) -> str:
-        return f"P{(i - 1) % (2 * n) + 1}"
-
-    vertices = ["Q", "R"] + [p(i) for i in range(1, 2 * n + 1)]
-
-    faces: list[tuple[str, ...]] = []
-    labels: dict[str, int] = {}
-    for i in range(1, 2 * n + 1):
-        apex = "Q" if i % 2 == 1 else "R"
-        faces.append((apex, p(i + 1), p(i + 3)))
-        labels[f"F{i}"] = len(faces) - 1
-    for i in range(1, 2 * n + 1):
-        faces.append((p(i + 2), p(i + 3), p(i + 4)))
-        labels[f"F{i}*"] = len(faces) - 1
-
-    return CombinatorialPolytope(FIBONACCI, n, vertices, faces, labels)
+    rim = [f"P{k}" for k in range(1, 2 * n + 1)]
+    p = rim + rim[:4]  # p[k - 1] is P(k) for k <= 2n + 4
+    faces = [("Q" if i % 2 else "R", p[i], p[i + 2]) for i in range(1, 2 * n + 1)]
+    faces += [(p[i + 1], p[i + 2], p[i + 3]) for i in range(1, 2 * n + 1)]
+    names = [f"F{i}" for i in range(1, 2 * n + 1)]
+    labels = {name: fi for fi, name in enumerate(names + [name + "*" for name in names])}
+    return CombinatorialPolytope(FIBONACCI, n, ["Q", "R"] + rim, faces, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -376,37 +376,44 @@ def _gluing_problem(tri: Triangulation, t: int, f: int) -> Optional[str]:
 
 def verify_triangulation(tri: Triangulation) -> ManifoldReport:
     """Check the gluing axioms and that the quotient is a closed connected
-    orientable 3-manifold; every failed condition is reported, nothing is
-    raised."""
+    orientable 3-manifold; every failed condition is reported.  Raises
+    TriangulationFormatError, as the constructor does, only when tri.gluings
+    was edited after construction into a shape the constructor refuses and
+    that shape stops the check."""
     problems: list[str] = []
     count = tri.tet_count
 
-    unglued = [(t, f) for t in range(count) for f in range(4) if tri.gluings[t][f] is None]
-    closed = not unglued
-    if unglued:
-        shown = ", ".join(map(str, unglued[:8])) + ("..." if len(unglued) > 8 else "")
-        problems.append(f"unglued faces: {shown}")
+    try:  # a table edited after construction may be out of shape
+        unglued = [(t, f) for t in range(count) for f in range(4) if tri.gluings[t][f] is None]
+        closed = not unglued
+        if unglued:
+            shown = ", ".join(map(str, unglued[:8])) + ("..." if len(unglued) > 8 else "")
+            problems.append(f"unglued faces: {shown}")
 
-    # usable gluings (t, f, t2, perm), each taken once, from (t, f) <= (t2, f2);
-    # the vertex ids of link sides glued to nothing, and of those a face
-    # glued to itself fixes
-    glued: list[tuple[int, int, int, tuple]] = []
-    opened: list[int] = []
-    fixed: list[int] = []
-    for t, row in enumerate(tri.gluings):
-        for f, entry in enumerate(row):
-            problem = None if entry is None else _gluing_problem(tri, t, f)
-            if problem:
-                problems.append(problem)
-            if entry is None or problem:
-                opened.extend(4 * t + i for i in _ON_FACE[f])
-                continue
-            t2, f2, perm = entry
-            if (t2, f2) == (t, f):
-                problems.append(f"face {f} of tet {t} is glued to itself")
-                fixed.extend(4 * t + i for i in _ON_FACE[f] if perm[i] == i)
-            if (t, f) <= (t2, f2):
-                glued.append((t, f, t2, perm))
+        # usable gluings (t, f, t2, perm), each taken once, from (t, f) <= (t2, f2);
+        # the vertex ids of link sides glued to nothing, and of those a face
+        # glued to itself fixes
+        glued: list[tuple[int, int, int, tuple]] = []
+        opened: list[int] = []
+        fixed: list[int] = []
+        for t, row in enumerate(tri.gluings):
+            for f, entry in enumerate(row):
+                problem = None if entry is None else _gluing_problem(tri, t, f)
+                if problem:
+                    problems.append(problem)
+                if entry is None or problem:
+                    opened.extend(4 * t + i for i in _ON_FACE[f])
+                    continue
+                t2, f2, perm = entry
+                if (t2, f2) == (t, f):
+                    problems.append(f"face {f} of tet {t} is glued to itself")
+                    fixed.extend(4 * t + i for i in _ON_FACE[f] if perm[i] == i)
+                if (t, f) <= (t2, f2):
+                    glued.append((t, f, t2, perm))
+    except (TypeError, ValueError, IndexError):
+        if _writable(tri.gluings):
+            raise
+        raise TriangulationFormatError(f"gluings are malformed: {_SHAPE}") from None
 
     orientable, components = _signed_components(
         count, ((t, t2, _WEIGHT[perm]) for t, _, t2, perm in glued)

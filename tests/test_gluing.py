@@ -2,11 +2,14 @@
 single-copy Fibonacci assembly, edge-cycle structure, and the closed
 orientable manifold verification, including deliberately broken inputs."""
 
+import hashlib
+
 import pytest
 
 from lobfib.coloring import (
     GROUP8,
     canonical_coloring,
+    enumerate_colorings,
     group_index,
     known_lobell6_coloring,
 )
@@ -18,6 +21,7 @@ from lobfib.gluing import (
     assemble_fibonacci,
     assemble_lobell,
     edge_cycles,
+    fibonacci_pairing,
     verify_closed_manifold,
 )
 from lobfib.polytope import build_fibonacci_polytope, build_lobell_polytope
@@ -245,3 +249,72 @@ class TestBrokenStructures:
         gc = assemble_fibonacci(4)
         with pytest.raises(StructureError, match="not one \\+-1 per copy"):
             GluedComplex(gc.polytopes, signs, gc.pairing)
+
+
+class TestFibonacciPairingMaps:
+    """Each s_i is the map of the paper, written out here, in the insertion
+    order of its vertex map (which orders the vertex unions of
+    verify_closed_manifold)."""
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_s_i_as_in_the_paper(self, n):
+        m = 2 * n
+        p = build_fibonacci_polytope(n)
+        matches = fibonacci_pairing(p).matches
+
+        def P(k: int) -> str:
+            return f"P{wrap(k, m)}"
+
+        assert [match.name for match in matches] == [f"s{i}" for i in range(1, m + 1)]
+        for i, match in enumerate(matches, 1):
+            apex = "Q" if i % 2 == 1 else "R"
+            # s_i : (Q or R, P(i+1), P(i+3)) -> (P(i+2), P(i+3), P(i+4))
+            expected = [(apex, P(i + 2)), (P(i + 1), P(i + 3)), (P(i + 3), P(i + 4))]
+            assert list(match.vertex_map.items()) == expected, f"s{i} of Y({n})"
+            assert match.source == (0, p.face_labels[f"F{i}"])
+            assert match.target == (0, p.face_labels[f"F{i}*"])
+
+
+def assembly_digest(complexes) -> str:
+    """sha256 over repr((signs, [(name, source, target, vertex map items)]))
+    of each complex in turn, one line each."""
+    digest = hashlib.sha256()
+    for gc in complexes:
+        matches = [
+            (m.name, m.source, m.target, list(m.vertex_map.items())) for m in gc.pairing.matches
+        ]
+        digest.update(repr((gc.signs, matches)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "complexes, digest",
+    (
+        pytest.param(
+            lambda: (
+                assemble_lobell(c)
+                for n in (5, 6)
+                for c in enumerate_colorings(build_lobell_polytope(n))
+            ),
+            "6b21930fb0693e300cece8a838d39d52ca71f5d26077b20cb7647ea5cc7d7537",
+            id="lobell5-6-every-coloring",
+        ),
+        pytest.param(
+            lambda: (
+                assemble_lobell(canonical_coloring(build_lobell_polytope(n)))
+                for n in range(7, 13)
+            ),
+            "e653a71e7c0b28c817bd93510df9c9564a0a409a4d6bbca803aeb0100dcf64b6",
+            id="lobell7-12-canonical",
+        ),
+        pytest.param(
+            lambda: (assemble_fibonacci(n) for n in range(4, 41)),
+            "629101fcd7dee9006b1a5cce556a31a72ebde14f16bb7196450f9086009d2759",
+            id="fibonacci4-40",
+        ),
+    ),
+)
+def test_assembly_is_frozen(complexes, digest):
+    """Copy signs, and every match's name, slots and vertex map in insertion
+    order."""
+    assert assembly_digest(complexes()) == digest

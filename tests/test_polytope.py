@@ -1,6 +1,7 @@
 """Combinatorial structure of the Löbell drums R(n) and the capped
 antiprisms Y(n): cell counts, incidences, labels, orientations, JSON."""
 
+import hashlib
 import json
 
 import pytest
@@ -266,3 +267,39 @@ class TestSerialization:
         b = json.dumps(build_fibonacci_polytope(5).to_json_dict(), indent=2)
         assert a == b, "same build must serialize to identical bytes"
         json.loads(a)  # must be well-formed
+
+
+def polytope_digest(polytopes) -> str:
+    """sha256 over repr((vertices, faces, face label items)) of each polytope
+    in turn, one line each, so label order counts as well as content."""
+    digest = hashlib.sha256()
+    for p in polytopes:
+        digest.update(repr((p.vertices, p.faces, list(p.face_labels.items()))).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "polytopes, digest",
+    (
+        pytest.param(
+            lambda: (build_lobell_polytope(n) for n in range(5, 31)),
+            "15afdb5d8737981ad26a8d881b15cbe96d4dbe1d810ec50610c6e701f99b7bec", id="lobell5-30",
+        ),
+        pytest.param(
+            lambda: [build_lobell_polytope(100)],
+            "e8521f780faec7eec89826b081188cd7d1261ae5dd924df72390bde4f61ba3c7", id="lobell100",
+        ),
+        pytest.param(
+            lambda: (build_fibonacci_polytope(n) for n in range(4, 41)),
+            "8fb80821672bdc02db314406395ec98d091367dfae3d4d76c5c7668f5bebdd59", id="fibonacci4-40",
+        ),
+        pytest.param(
+            lambda: [build_fibonacci_polytope(2000)],
+            "4dd55a2853623151eb5f3d66755cdb019918c266661779c13128a72c9599bb8f", id="fibonacci2000",
+        ),
+    ),
+)
+def test_construction_is_frozen(polytopes, digest):
+    """Vertex names and order, face cycles and the label dict in insertion
+    order: everything the verifiers, the triangulator and the JSON read."""
+    assert polytope_digest(polytopes()) == digest

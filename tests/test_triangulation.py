@@ -341,6 +341,26 @@ class TestDamageDetection:
     """verify_triangulation reports every broken gluing axiom instead of
     raising, and the report goes negative."""
 
+    @pytest.mark.parametrize(
+        "edit",
+        (
+            lambda rows: rows[0].__setitem__(0, 7),
+            lambda rows: rows.__setitem__(0, rows[0][:3]),
+            lambda rows: rows[0].__setitem__(0, (1, 2)),
+            lambda rows: rows[0].__setitem__(0, (*rows[0][0][:2], [0, 2, 1, 3])),
+            lambda rows: rows[0].__setitem__(0, (str(rows[0][0][0]), *rows[0][0][1:])),
+        ),
+        ids=("int-entry", "short-row", "two-item-entry", "list-perm", "str-index"),
+    )
+    def test_table_edited_out_of_shape_raises_the_format_error(self, edit):
+        """Each of these once ended in a TypeError, IndexError or ValueError
+        from inside the check; a table the constructor would refuse is
+        refused in its words instead."""
+        tri = triangulate_fibonacci(4)
+        edit(tri.gluings)
+        with pytest.raises(TriangulationFormatError, match="^gluings are malformed: "):
+            verify_triangulation(tri)
+
     def test_unglued_face_is_not_closed(self):
         tri = triangulate_fibonacci(4)
         t2, f2, _ = tri.gluings[0][0]
