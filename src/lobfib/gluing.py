@@ -6,10 +6,12 @@ carrying a vertex bijection between the two faces.  The quotient space is a
 closed connected 3-manifold exactly when the matches join the copies into
 one component, every face is matched, the Euler characteristic of the
 quotient cell structure vanishes, and the link of every quotient vertex is a
-2-sphere; it is orientable when the copies can be oriented so that every
-match reverses the induced boundary orientation.
-verify_closed_manifold checks all of that and reports per-item results,
-naming every edge glued to itself in reverse.  Both verifiers count their
+2-sphere.  verify_closed_manifold calls it orientable when the copies,
+each oriented by its given sign in GluedComplex.signs, make every match
+reverse the induced boundary orientation; it searches for no other signs, so
+flipping the sign of one copy of an orientable complex can make the check
+fail.  It checks all of that and reports per-item results, naming every
+edge glued to itself in reverse.  Both verifiers count their
 components with polytope._signed_components and end in the one report
 builder _manifold_report, which runs flat-list union-finds over integer
 vertex and dart (directed edge) ids and builds the ManifoldReport.  Dart d
@@ -63,7 +65,6 @@ from .coloring import FaceColoring, _label_by_index, group_index, validate_color
 from .polytope import (
     CombinatorialPolytope,
     _face_signs,
-    _faces_along,
     _root,
     _signed_components,
     build_fibonacci_polytope,
@@ -232,9 +233,9 @@ def edge_cycles(gc: GluedComplex) -> list[EdgeCycle]:
     cycle closes with its endpoints exchanged.
     """
     tables = _once_each(dart_table, gc.polytopes)
-    runs = _once_each(_faces_along, tables)
+    runs = [table[3] for table in tables]
     order = []  # (copy, sorted vertex indices, even dart) per edge of each copy
-    for ci, (p, (_, ends, _)) in enumerate(zip(gc.polytopes, tables)):
+    for ci, (p, (_, ends, _, _)) in enumerate(zip(gc.polytopes, tables)):
         for d in range(0, len(ends), 2):
             order.append((ci, sorted(map(p.vertex_index, ends[d])), d))
     order.sort()
@@ -545,31 +546,30 @@ def verify_closed_manifold(gc: GluedComplex) -> ManifoldReport:
     # every offset is even, so dart d of the complex reverses to d ^ 1
     tables = _once_each(dart_table, gc.polytopes)
     voff, doff, dart_tail = [0], [0], []
-    for p, (_, ends, _) in zip(gc.polytopes, tables):
+    for p, (_, ends, _, _) in zip(gc.polytopes, tables):
         dart_tail += [voff[-1] + p.vertex_index(u) for u, _ in ends]
         voff.append(voff[-1] + len(p.vertices))
         doff.append(doff[-1] + len(ends))
-    sides_at = [0] * voff[-1]
+    # a side of a face is a side of its tail's link disk, and loose unless
+    # the face is glued
+    glued = {slot for m, _ in turns for slot in (m.source, m.target)}
+    sides_at, loose = [0] * voff[-1], []
     for ci, fi in slots:
-        for d in tables[ci][2][fi]:  # a side of the face is a side of its tail's link disk
-            sides_at[dart_tail[doff[ci] + d]] += 1
+        tails = [dart_tail[doff[ci] + d] for d in tables[ci][2][fi]]
+        for v in tails:
+            sides_at[v] += 1
+        if (ci, fi) not in glued:
+            loose += tails
     identifications = []
     for m, _ in turns:
         (ci, fi), (cj, fj) = m.source, m.target
-        (_, ends, sides), dart2, vmap = tables[ci], tables[cj][0], m.vertex_map
+        (_, ends, sides, _), dart2, vmap = tables[ci], tables[cj][0], m.vertex_map
         dart_pairs = [(d, dart2[vmap[ends[d][0]], vmap[ends[d][1]]]) for d in sides[fi]]
         vertex_of, vertex2_of = gc.polytopes[ci].vertex_index, gc.polytopes[cj].vertex_index
         vertex_pairs = [(vertex_of(v), vertex2_of(w)) for v, w in vmap.items()]
         identifications.append(
             (voff[ci], voff[cj], doff[ci], doff[cj], vertex_pairs, dart_pairs)
         )
-    glued = {slot for m, _ in turns for slot in (m.source, m.target)}
-    loose = [
-        dart_tail[doff[ci] + d]
-        for ci, fi in slots
-        if (ci, fi) not in glued
-        for d in tables[ci][2][fi]
-    ]
 
     # orientability with the given copy signs: a match must reverse the
     # induced boundary orientation, and keeps it iff turn * s(src) == s(tgt)

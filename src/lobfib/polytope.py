@@ -94,7 +94,7 @@ class CombinatorialPolytope:
 
     def adjacent_face_pairs(self) -> set[frozenset[int]]:
         """Unordered pairs of face indices sharing an edge."""
-        runs = _faces_along(dart_table(self))
+        runs = dart_table(self)[3]
         on_edges = (along + against for along, against in zip(runs[::2], runs[1::2]))
         return {frozenset(fs) for fs in on_edges if len(fs) == 2 and fs[0] != fs[1]}
 
@@ -209,17 +209,16 @@ def validate_polytope(p: CombinatorialPolytope) -> CheckReport:
     bad_faces = [fi for fi, f in enumerate(p.faces) if len(set(f)) != len(f) or len(f) < 3]
     checks.append(("faces_simple", not bad_faces, f"degenerate faces: {bad_faces}"))
 
-    table = dart_table(p)
-    ends, runs = table[1], _faces_along(table)
+    _, ends, _, runs = dart_table(p)
     edges = [set(pair) for pair in ends[::2]]
-    counts = [len(along) + len(against) for along, against in zip(runs[::2], runs[1::2])]
-    bad_edges = {tuple(sorted(edge)): k for edge, k in zip(edges, counts) if k != 2}
+    on_edges = [along + against for along, against in zip(runs[::2], runs[1::2])]
+    bad_edges = {tuple(sorted(edge)): len(fs) for edge, fs in zip(edges, on_edges) if len(fs) != 2}
     checks.append(("edge_two_faces", not bad_edges, f"edges with face count != 2: {bad_edges}"))
 
     v, e, f = len(p.vertices), len(edges), len(p.faces)
     checks.append(("euler", v - e + f == 2, f"V-E+F = {v}-{e}+{f} = {v - e + f}"))
 
-    joined = ((*pair, 0) for pair in p.adjacent_face_pairs())
+    joined = ((*fs, 0) for fs in on_edges if len(fs) == 2)
     checks.append(("face_graph_connected", _signed_components(len(p.faces), joined)[1] <= 1, ""))
 
     if p.family == LOBELL:
@@ -237,13 +236,16 @@ def validate_polytope(p: CombinatorialPolytope) -> CheckReport:
 
 def dart_table(
     p: CombinatorialPolytope,
-) -> tuple[dict[tuple[str, str], int], list[tuple[str, str]], list[list[int]]]:
-    """(ids, ends, sides): ids maps (tail, head) to its dart, ends[d] is the
-    (tail, head) of dart d, and sides[f] lists face f's darts in cycle order.
-    Darts are numbered in order of first appearance on the face cycles, dart
-    d reversing to d ^ 1; a loop (v, v) takes the odd id of its pair."""
-    ids, ends, sides = {}, [], []
-    for face in p.faces:
+) -> tuple[dict[tuple[str, str], int], list[tuple[str, str]], list[list[int]], list[list[int]]]:
+    """(ids, ends, sides, runs): ids maps (tail, head) to its dart, ends[d] is
+    the (tail, head) of dart d, sides[f] lists face f's darts in cycle order,
+    and runs[d] the faces whose cycles run along dart d, in face order, a
+    face listed as often as its cycle does so; the faces on edge d >> 1 are
+    runs[d] + runs[d ^ 1].  Darts are numbered in order of first appearance
+    on the face cycles, dart d reversing to d ^ 1; a loop (v, v) takes the
+    odd id of its pair."""
+    ids, ends, sides, runs = {}, [], [], []
+    for fi, face in enumerate(p.faces):
         darts = []
         for k, v in enumerate(face):
             w = face[k + 1 - len(face)]
@@ -252,21 +254,12 @@ def dart_table(
                 ends.append((v, w))
                 ids[w, v] = len(ends)
                 ends.append((w, v))
-            darts.append(ids[v, w])
-        sides.append(darts)
-    return ids, ends, sides
-
-
-def _faces_along(table) -> list[list[int]]:
-    """runs[d]: the faces whose cycles run along dart d of the dart table, in
-    face order, a face listed as often as its cycle does so.  The faces on
-    edge d >> 1 are runs[d] + runs[d ^ 1]."""
-    _, ends, sides = table
-    runs: list[list[int]] = [[] for _ in ends]
-    for fi, darts in enumerate(sides):
-        for d in darts:
+                runs += [], []
+            d = ids[v, w]
+            darts.append(d)
             runs[d].append(fi)
-    return runs
+        sides.append(darts)
+    return ids, ends, sides, runs
 
 
 def boundary_orientation(p: CombinatorialPolytope) -> list[int]:
@@ -281,8 +274,7 @@ def boundary_orientation(p: CombinatorialPolytope) -> list[int]:
 
 def _face_signs(table) -> list[int]:
     """boundary_orientation on the dart table of the polytope."""
-    _, ends, sides = table
-    runs = _faces_along(table)
+    _, ends, sides, runs = table
     signs = [0] * len(sides)
     for start in range(len(sides)):
         if signs[start]:

@@ -355,25 +355,6 @@ _IDENTIFIED = {
 }
 
 
-def _gluing_problem(tri: Triangulation, t: int, f: int) -> Optional[str]:
-    """Why the gluing at face f of tetrahedron t cannot be used, or None: it
-    must reference a tetrahedron, carry a permutation sending face f to the
-    face it names, and be mirrored there by the inverse permutation."""
-    t2, f2, perm = tri.gluings[t][f]
-    if not (0 <= t2 < tri.tet_count):
-        return f"gluing of tet {t} face {f} references tetrahedron {t2}"
-    if perm not in _INVERSE:
-        return f"gluing of tet {t} face {f}: {perm} is not a permutation of 0..3"
-    if perm[f] != f2:
-        return (
-            f"gluing of tet {t} face {f}: perm {perm} sends face {f} "
-            f"to {perm[f]}, not to face {f2}"
-        )
-    if tri.gluings[t2][f2] != (t, f, _INVERSE[perm]):
-        return f"gluing of tet {t} face {f} is not mirrored by tet {t2} face {f2}"
-    return None
-
-
 def verify_triangulation(tri: Triangulation) -> ManifoldReport:
     """Check the gluing axioms and that the quotient is a closed connected
     orientable 3-manifold; every failed condition is reported.  Raises
@@ -381,39 +362,50 @@ def verify_triangulation(tri: Triangulation) -> ManifoldReport:
     was edited after construction into a shape the constructor refuses and
     that shape stops the check."""
     problems: list[str] = []
-    count = tri.tet_count
+    rows, count = tri.gluings, tri.tet_count
 
+    # the unglued faces; the usable gluings (t, f, t2, perm), each taken once,
+    # from (t, f) <= (t2, f2); the vertex ids of link sides glued to nothing,
+    # and of those a face glued to itself fixes
+    unglued: list[tuple[int, int]] = []
+    glued: list[tuple[int, int, int, tuple]] = []
+    opened: list[int] = []
+    fixed: list[int] = []
     try:  # a table edited after construction may be out of shape
-        unglued = [(t, f) for t in range(count) for f in range(4) if tri.gluings[t][f] is None]
-        closed = not unglued
-        if unglued:
-            shown = ", ".join(map(str, unglued[:8])) + ("..." if len(unglued) > 8 else "")
-            problems.append(f"unglued faces: {shown}")
-
-        # usable gluings (t, f, t2, perm), each taken once, from (t, f) <= (t2, f2);
-        # the vertex ids of link sides glued to nothing, and of those a face
-        # glued to itself fixes
-        glued: list[tuple[int, int, int, tuple]] = []
-        opened: list[int] = []
-        fixed: list[int] = []
-        for t, row in enumerate(tri.gluings):
-            for f, entry in enumerate(row):
-                problem = None if entry is None else _gluing_problem(tri, t, f)
-                if problem:
-                    problems.append(problem)
-                if entry is None or problem:
+        for t, row in enumerate(rows):
+            for f, entry in zip(range(4), row, strict=True):
+                if entry is None:
+                    unglued.append((t, f))
                     opened.extend(4 * t + i for i in _ON_FACE[f])
                     continue
+                # usable: it references a tetrahedron, its perm sends face f
+                # to the face it names, and the inverse perm mirrors it there
                 t2, f2, perm = entry
-                if (t2, f2) == (t, f):
-                    problems.append(f"face {f} of tet {t} is glued to itself")
-                    fixed.extend(4 * t + i for i in _ON_FACE[f] if perm[i] == i)
-                if (t, f) <= (t2, f2):
-                    glued.append((t, f, t2, perm))
+                if not 0 <= t2 < count:
+                    problem = f" references tetrahedron {t2}"
+                elif perm not in _INVERSE:
+                    problem = f": {perm} is not a permutation of 0..3"
+                elif perm[f] != f2:
+                    problem = f": perm {perm} sends face {f} to {perm[f]}, not to face {f2}"
+                elif rows[t2][f2] != (t, f, _INVERSE[perm]):
+                    problem = f" is not mirrored by tet {t2} face {f2}"
+                else:
+                    if (t2, f2) == (t, f):
+                        problems.append(f"face {f} of tet {t} is glued to itself")
+                        fixed.extend(4 * t + i for i in _ON_FACE[f] if perm[i] == i)
+                    if (t, f) <= (t2, f2):
+                        glued.append((t, f, t2, perm))
+                    continue
+                problems.append(f"gluing of tet {t} face {f}{problem}")
+                opened.extend(4 * t + i for i in _ON_FACE[f])
     except (TypeError, ValueError, IndexError):
-        if _writable(tri.gluings):
+        if _writable(rows):
             raise
         raise TriangulationFormatError(f"gluings are malformed: {_SHAPE}") from None
+    closed = not unglued
+    if unglued:
+        shown = ", ".join(map(str, unglued[:8])) + ("..." if len(unglued) > 8 else "")
+        problems.insert(0, f"unglued faces: {shown}")
 
     orientable, components = _signed_components(
         count, ((t, t2, _WEIGHT[perm]) for t, _, t2, perm in glued)

@@ -451,3 +451,38 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"error: --limit must be at least 1, got {limit}\n")
+
+
+
+def readme_sessions() -> list[list[tuple[list[str], str]]]:
+    """The ```console blocks of README.md, each a list of (argv after
+    `$ lobfib`, the output shown under that line up to the next one, blank
+    lines at either end dropped)."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sessions = []
+    for block in re.findall(r"^```console\n(.*?)^```", text, re.M | re.S):
+        session: list[tuple[list[str], list[str]]] = []
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                program, *argv = line[2:].split()
+                assert program == "lobfib", line
+                session.append((argv, []))
+            else:
+                session[-1][1].append(line)
+        sessions.append([
+            (argv, "".join(f"{line}\n" for line in "\n".join(shown).strip("\n").splitlines()))
+            for argv, shown in session
+        ])
+    return sessions
+
+
+@pytest.mark.parametrize(
+    "session", readme_sessions(), ids=lambda session: "-then-".join(a[0] for a, _ in session)
+)
+def test_readme_console_examples(session, capsys, tmp_path, monkeypatch):
+    """Each `$ lobfib ...` line of README.md's console examples, run by
+    cli.main in a fresh directory, exits 0 and prints the lines shown."""
+    monkeypatch.chdir(tmp_path)
+    for argv, shown in session:
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out == shown, argv

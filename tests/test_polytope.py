@@ -148,7 +148,7 @@ class TestEdgesAndOrientation:
     )
     def test_edges_in_two_faces(self, build, n):
         p = build(n)
-        _, ends, sides = dart_table(p)
+        _, ends, sides, _ = dart_table(p)
         faces_on = [0] * (len(ends) // 2)  # per edge d >> 1, with multiplicity
         for darts in sides:
             for d in darts:
@@ -178,22 +178,32 @@ class TestEdgesAndOrientation:
 
 class TestDartTable:
     """Darts are numbered in order of first appearance on the face cycles,
-    dart d reversing to d ^ 1, and each face lists its darts in cycle order."""
+    dart d reversing to d ^ 1, each face lists its darts in cycle order, and
+    each dart lists the faces whose cycles run along it."""
 
     @pytest.mark.parametrize(
-        "p", [build_lobell_polytope(6), build_fibonacci_polytope(5)], ids=["R(6)", "Y(5)"]
+        "p",
+        [build_lobell_polytope(6), build_fibonacci_polytope(5),
+         CombinatorialPolytope(None, None, ["a", "b", "c"], [("a", "b", "c", "b")], {})],
+        ids=["R(6)", "Y(5)", "folded a-b-c-b"],
     )
     def test_numbering(self, p):
-        ids, ends, sides = dart_table(p)
+        ids, ends, sides, runs = dart_table(p)
         assert len(ends) == 2 * len(p.edges())
         for d, (v, w) in enumerate(ends):
             assert ids[v, w] == d and ends[d ^ 1] == (w, v)
-        edges_seen: list[int] = []
         for face, darts in zip(p.faces, sides):
             cycle = [(v, face[(k + 1) % len(face)]) for k, v in enumerate(face)]
             assert [ends[d] for d in darts] == cycle
-            edges_seen += [d >> 1 for d in darts if d >> 1 not in edges_seen]
-        assert edges_seen == list(range(len(ends) // 2))
+        edges_seen = dict.fromkeys(d >> 1 for darts in sides for d in darts)
+        assert list(edges_seen) == list(range(len(ends) // 2))
+        # the faces along d in face order, once per occurrence of d in sides
+        assert runs == [
+            [fi for fi, darts in enumerate(sides) for x in darts if x == d]
+            for d in range(len(ends))
+        ]
+        if p.family is None:  # the folded face lies on each of its edges twice
+            assert [runs[d] + runs[d ^ 1] for d in (0, 2)] == [[0, 0], [0, 0]]
 
     def test_face_folded_along_its_edges_is_orientable(self):
         """The face a-b-c-b runs along edges ab and bc once each way, so it

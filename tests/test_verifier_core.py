@@ -7,7 +7,8 @@ gluings of one to three tetrahedra.  boundary_orientation, read from the
 dart table, must give the signs and errors of the frozenset-keyed one.
 The report bytes of 1000 random closed gluings of one to four tetrahedra
 and of the 300 random tables of test_triangulation.py are frozen as two
-digests.
+digests, and those of verify_closed_manifold on both families, on the
+damaged complexes and on 300 random small complexes as three more.
 
 Two differences are allowed.  The first is the two kinds of problem line
 the old code did not write, naming an edge glued to itself in reverse or a
@@ -27,8 +28,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_polytope import SQUARE_PYRAMID, TETRAHEDRON, polytope
 from test_triangulation import random_table
-from lobfib.coloring import canonical_coloring, known_lobell6_coloring
+from lobfib.coloring import canonical_coloring, enumerate_colorings, known_lobell6_coloring
 from lobfib.gluing import (
     FaceMatch,
     FacePairing,
@@ -541,12 +543,12 @@ def random_closed_gluing(rng: random.Random) -> Triangulation:
     return Triangulation(gluings)
 
 
-def report_digest(tables) -> str:
-    """sha256 over [report.to_json_dict(), report.summary()] of each table's
-    report in turn, one JSON line each."""
+def report_digest(tables, verify=verify_triangulation) -> str:
+    """sha256 over [report.to_json_dict(), report.summary()] of the report
+    verify gives on each table (or complex) in turn, one JSON line each."""
     digest = hashlib.sha256()
     for tri in tables:
-        report = verify_triangulation(tri)
+        report = verify(tri)
         digest.update(json.dumps([report.to_json_dict(), report.summary()]).encode() + b"\n")
     return digest.hexdigest()
 
@@ -568,6 +570,106 @@ def test_report_bytes_are_frozen(tables, digest):
     """Every byte of the reports, problem lines in their order included,
     which assert_same_report leaves free for the last two kinds of line."""
     assert report_digest(tables()) == digest
+
+
+def moved_slot(end: str, slot) -> GluedComplex:
+    """Y(4) with the source or target of s1 moved to a slot outside it."""
+    gc = assemble_fibonacci(4)
+    s1, *rest = gc.pairing.matches
+    ends = {"source": s1.source, "target": s1.target, end: slot}
+    moved = FaceMatch(s1.name, ends["source"], ends["target"], s1.vertex_map)
+    return GluedComplex(gc.polytopes, gc.signs, FacePairing([moved, *rest]))
+
+
+def folded_tetrahedron_beside_y4_without_s1() -> GluedComplex:
+    folded, y4 = folded_tetrahedron(), assemble_fibonacci(4)
+    return GluedComplex(folded.polytopes + y4.polytopes, [1, 1], FacePairing(
+        folded.pairing.matches + [
+            FaceMatch(m.name, (1, m.source[1]), (1, m.target[1]), m.vertex_map)
+            for m in y4.pairing.matches[1:]
+        ]
+    ))
+
+
+def damaged_complexes():
+    """Every hand-damaged complex of test_gluing.py and of this file."""
+    yield from (
+        corrupted_vertex_map(), missing_pairing(), no_copies(), two_disjoint_y4(),
+        all_signs_flipped(), one_sign_flipped(), folded_tetrahedron(), doubled_hemicube(),
+        doubled_tetrahedron_with_a_fin(), y5_with_a_reflected_match(),
+        reversed_y4_opposite_signs(), reversed_y4_equal_signs(),
+        folded_tetrahedron_beside_y4_without_s1(),
+    )
+    for slot in ((1, 8), (-1, 8), (0, 99), (0, -1)):
+        yield moved_slot("target", slot)
+    for slot in ((-1, 0), (0, -1)):
+        yield moved_slot("source", slot)
+
+
+SMALL_POLYTOPES = (
+    polytope(*TETRAHEDRON),
+    polytope(*SQUARE_PYRAMID),
+    polytope("abc", "dfe", "adeb", "befc", "cfda"),  # a triangular prism
+    hemicube(),
+    tetrahedron_with_a_fin(),
+)
+
+
+def random_complex(rng: random.Random) -> GluedComplex:
+    """1-3 copies drawn from SMALL_POLYTOPES (a copy drawn twice is the same
+    object), random signs, and faces of equal size matched at random: about
+    10 % left open, the others carried along or against the partner's cycle
+    from a random start, or by a random bijection."""
+    copies = [rng.choice(SMALL_POLYTOPES) for _ in range(rng.randint(1, 3))]
+    slots = [(ci, fi) for ci, p in enumerate(copies) for fi in range(len(p.faces))]
+    rng.shuffle(slots)
+    matches = []
+    while slots:
+        a = slots.pop()
+        source = copies[a[0]].faces[a[1]]
+        partners = [s for s in slots if len(copies[s[0]].faces[s[1]]) == len(source)]
+        if not partners or rng.random() < 0.1:
+            continue
+        b = rng.choice(partners)
+        slots.remove(b)
+        target = copies[b[0]].faces[b[1]]
+        k, kind = rng.randrange(len(target)), rng.random()
+        image = target[k:] + target[:k]
+        if kind < 0.4:
+            image = image[::-1]
+        elif kind < 0.5:
+            image = tuple(rng.sample(target, len(target)))
+        matches.append(FaceMatch(f"m{len(matches)}", a, b, dict(zip(source, image))))
+    return GluedComplex(copies, [rng.choice((1, -1)) for _ in copies], FacePairing(matches))
+
+
+@pytest.mark.parametrize(
+    "complexes, digest",
+    (
+        pytest.param(
+            lambda: (
+                *(assemble_lobell(lobell_coloring(n)) for n in range(5, 13)),
+                *map(assemble_lobell, enumerate_colorings(build_lobell_polytope(6))[::12]),
+                *(assemble_fibonacci(n) for n in range(4, 17)),
+            ),
+            "fbecbe00b28de36612c13da5c73bd3aa17c8ddfc3334ba464a0006ac9f254ab7", id="families",
+        ),
+        pytest.param(
+            damaged_complexes,
+            "89e556971a3c8c8606d221763ad8dda7d0bb7c35535bb794162fb45a99706b0e", id="damaged",
+        ),
+        pytest.param(
+            lambda: (random_complex(random.Random(seed)) for seed in range(300)),
+            "6a377adff878755d886daa688a3d73de63ece1ca1054b98961005184897cbb4a",
+            id="random-complexes",
+        ),
+    ),
+)
+def test_complex_report_bytes_are_frozen(complexes, digest):
+    """Every byte of verify_closed_manifold's reports: canonical R(5..12),
+    every twelfth of the 480 colorings of R(6), Y(4..16), the damaged
+    complexes, and 300 seeded random small complexes."""
+    assert report_digest(complexes(), verify_closed_manifold) == digest
 
 
 def test_triangulation_names_self_glued_faces_and_edges():
