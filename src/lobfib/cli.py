@@ -16,6 +16,10 @@ and _emit writes data with json.dumps(..., indent=2) and ends each document
 in a newline.  The same flags produce byte-identical output.
 Exit status is 0 on success, 1 on a domain error (invalid n, invalid
 coloring, malformed file), 2 on a usage error.
+
+Each subcommand imports only the modules it runs, inside its _run_*
+function, so `volume` and `bounds` start without the gluing and
+triangulation code.
 """
 
 from __future__ import annotations
@@ -24,30 +28,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .bounds import bounds_report
-from .coloring import (
-    FaceColoring,
-    canonical_coloring,
-    enumerate_colorings,
-    presentation_F2,
-    presentation_G,
-)
-from .polytope import (
-    FIBONACCI,
-    LOBELL,
-    build_fibonacci_polytope,
-    build_lobell_polytope,
-)
-from .triangulation import (
-    export_triangulation,
-    import_triangulation,
-    triangulate_fibonacci,
-    triangulate_lobell,
-    verify_triangulation,
-)
-from .volume import fibonacci_volume, lobell_volume
+from .polytope import FIBONACCI, LOBELL
+
+if TYPE_CHECKING:
+    from .coloring import FaceColoring
 
 Document = str | dict | list  # text as is, data as JSON
 
@@ -113,6 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_coloring(parser: argparse.ArgumentParser, args: argparse.Namespace) -> FaceColoring:
+    from .coloring import FaceColoring, canonical_coloring
+    from .polytope import build_lobell_polytope
+
     if args.color == "auto":
         return canonical_coloring(build_lobell_polytope(args.n))
     if args.color.startswith("file:"):
@@ -126,6 +115,8 @@ def _load_coloring(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def _run_build_polytope(args) -> Document:
+    from .polytope import build_fibonacci_polytope, build_lobell_polytope
+
     build = build_lobell_polytope if args.family == LOBELL else build_fibonacci_polytope
     p = build(args.n)
     if args.format == "json":
@@ -138,6 +129,9 @@ def _run_build_polytope(args) -> Document:
 
 
 def _run_color(parser, args) -> Document:
+    from .coloring import enumerate_colorings
+    from .polytope import build_lobell_polytope
+
     if args.family != LOBELL:
         parser.error("colorings apply to the Löbell family only")
     if args.limit < 1:
@@ -157,6 +151,8 @@ def _run_color(parser, args) -> Document:
 
 
 def _run_presentation(args) -> Document:
+    from .coloring import presentation_F2, presentation_G
+
     if args.family == LOBELL:
         pres = presentation_G(args.n)
     else:
@@ -167,6 +163,8 @@ def _run_presentation(args) -> Document:
 
 
 def _run_triangulate(parser, args) -> Document:
+    from .triangulation import export_triangulation, triangulate_fibonacci, triangulate_lobell
+
     if args.family == LOBELL:
         tri = triangulate_lobell(_load_coloring(parser, args))
     else:
@@ -179,6 +177,8 @@ def _run_triangulate(parser, args) -> Document:
 
 
 def _run_verify(args) -> tuple[Document, int]:
+    from .triangulation import import_triangulation, verify_triangulation
+
     tri = import_triangulation(Path(args.file).read_text(encoding="utf-8"))
     report = verify_triangulation(tri)
     document = report.to_json_dict() if args.format == "json" else report.summary()
@@ -186,6 +186,8 @@ def _run_verify(args) -> tuple[Document, int]:
 
 
 def _run_volume(args) -> Document:
+    from .volume import fibonacci_volume, lobell_volume
+
     result = lobell_volume(args.n) if args.family == LOBELL else fibonacci_volume(args.n)
     if args.format == "json":
         return result.to_json_dict()
@@ -200,6 +202,8 @@ def _run_volume(args) -> Document:
 
 
 def _run_bounds(args) -> Document:
+    from .bounds import bounds_report
+
     report = bounds_report(args.family, args.n)
     return report.to_json_dict() if args.format == "json" else report.as_text()
 

@@ -37,14 +37,86 @@ def run(*argv):
 
 
 def test_import_loads_no_scipy_or_numpy():
-    """The runtime needs the standard library only."""
-    probe = "import sys, lobfib; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    """The runtime needs the standard library only.  The probe reads every
+    public name first, since `import lobfib` alone loads no submodule."""
+    probe = "import sys; from lobfib import *; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n", f"import lobfib loaded {result.stdout.strip()}"
+
+
+# runs lobfib.cli as `python -m` does, its output to --out or discarded, then
+# prints the lobfib modules the run loaded
+CLOSURE_PROBE = """
+import contextlib, io, runpy, sys
+sys.argv = ["lobfib", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("lobfib.cli", run_name="__main__")
+    except SystemExit as exit_:
+        assert not exit_.code, exit_.code
+print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] == "lobfib")))
+"""
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", CLOSURE_PROBE, *argv],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+# the lobfib submodules each subcommand loads
+CLOSURES = {
+    "volume --family lobell --n 6": {"polytope", "volume"},
+    "bounds --family fibonacci --n 5": {"bounds", "polytope", "volume"},
+    "presentation --family lobell --n 6": {"coloring", "polytope"},
+    "color --family lobell --n 5": {"coloring", "polytope"},
+    "build-polytope --family fibonacci --n 4": {"polytope"},
+    "triangulate --family lobell --n 5": {"coloring", "gluing", "polytope", "triangulation"},
+}
+
+
+class TestImportClosure:
+    """Each subcommand imports only the modules it runs."""
+
+    @pytest.mark.parametrize("argv", CLOSURES, ids=lambda argv: argv.split()[0])
+    def test_subcommand(self, argv):
+        expected = {"lobfib", *(f"lobfib.{module}" for module in CLOSURES[argv])}
+        assert loaded_modules(*argv.split()) == expected
+
+    def test_verify(self, tmp_path):
+        table = tmp_path / "fib4.json"
+        assert cli.main(["triangulate", "--family", "fibonacci", "--n", "4",
+                         "--out", str(table)]) == 0
+        assert loaded_modules("verify", "--file", str(table)) == {
+            "lobfib", "lobfib.coloring", "lobfib.gluing", "lobfib.polytope",
+            "lobfib.triangulation",
+        }
+
+    def test_import_lobfib_loads_the_namespace_only(self):
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c",
+             "import sys, lobfib; print([m for m in sys.modules if m.split('.')[0] == 'lobfib'])"],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "['lobfib']\n"
+
+    def test_submodule_import_from_the_package(self):
+        """`from lobfib import cli` imports the submodule once the namespace
+        lookup has raised AttributeError."""
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", "from lobfib import cli; print(cli.__name__)"],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "lobfib.cli\n"
 
 
 class TestPipeline:
